@@ -9,12 +9,13 @@ half-integral index for comparison.
 
 from .bundles import (EquivariantVectorBundle, completely_reducible_bundle,
                       irreducible_bundle)
-from .ci import CompleteIntersection, chern_number, complete_intersection
+from .ci import (CompleteIntersection, chern_number, chern_numbers,
+                 complete_intersection)
 from .cohomology import CohomologyClass
-from .errors import (BaseMismatch, DegeneratePoint, DivisionByNonUnit,
-                     EllgenusError, FloatUnstable, NegativeDimension,
-                     NotPDominant, OddWeight, PrecisionZero, SeriesError,
-                     UnknownType, WedgeTooLarge)
+from .errors import (BaseMismatch, ConsistencyError, DegeneratePoint,
+                     DivisionByNonUnit, EllgenusError, FloatUnstable,
+                     NegativeDimension, NotPDominant, OddWeight, PrecisionZero,
+                     SeriesError, UnknownType, WedgeTooLarge)
 from .genus import (ChernSymbolSeries, chi_y, elliptic_genus,
                     elliptic_genus_chernnum)
 from .homog import HomogeneousSpace, homogeneous_space
@@ -29,16 +30,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseMismatch", "ChernSymbolSeries", "CohomologyClass",
-    "CompleteIntersection", "DegeneratePoint", "DivisionByNonUnit",
-    "EllgenusError", "EquivariantVectorBundle", "FloatUnstable",
-    "HomogeneousSpace", "JacobiBasisElement", "LaurentY",
+    "CompleteIntersection", "ConsistencyError", "DegeneratePoint",
+    "DivisionByNonUnit", "EllgenusError", "EquivariantVectorBundle",
+    "FloatUnstable", "HomogeneousSpace", "JacobiBasisElement", "LaurentY",
     "NegativeDimension", "NotPDominant", "OddWeight", "ParabolicSubgroup",
     "PrecisionZero", "QYSeries", "RootSystem", "SeriesError", "UnknownType",
     "WedgeTooLarge", "Weight", "WeylElement", "basis_half_integral",
-    "basis_integral", "chern_number", "chi_y", "complete_intersection",
-    "completely_reducible_bundle", "eisenstein", "elliptic_genus",
-    "elliptic_genus_chernnum", "eta_product", "homogeneous_space",
-    "irreducible_bundle", "linear_fit", "min_coset_reps", "parabolic",
-    "phi_0_1", "phi_0_3half", "phi_m2_1", "root_system", "theta",
+    "basis_integral", "chern_number", "chern_numbers", "chi_y",
+    "complete_intersection", "completely_reducible_bundle", "eisenstein",
+    "elliptic_genus", "elliptic_genus_chernnum", "eta_product",
+    "homogeneous_space", "irreducible_bundle", "linear_fit", "min_coset_reps",
+    "parabolic", "phi_0_1", "phi_0_3half", "phi_m2_1", "root_system", "theta",
     "weyl_elements", "weyl_orbit",
 ]

@@ -9,8 +9,10 @@ general section.
 
 Exit codes: 0 success, 2 malformed command line, 3 mathematically invalid
 input (odd basis weight, non-dominant bundle weight, negative-dimensional
-intersection, bad degree list), 4 integration failure.  Results go to
-stdout; diagnostics to stderr.
+intersection, bad degree list), 4 integration failure (no generic
+evaluation point, an unstable float rounding, or the two evaluation points
+of the exact self-check disagreeing).  Results go to stdout; diagnostics
+to stderr.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from dataclasses import dataclass, field
 
 from .bundles import completely_reducible_bundle
 from .ci import CompleteIntersection, chern_number
-from .errors import (DegeneratePoint, EllgenusError, FloatUnstable,
-                     NegativeDimension, NotPDominant, OddWeight, UnknownType)
+from .errors import (ConsistencyError, DegeneratePoint, EllgenusError,
+                     FloatUnstable, NegativeDimension, NotPDominant, OddWeight,
+                     UnknownType)
 from .genus import chi_y, elliptic_genus
 from .homog import HomogeneousSpace
 from .jacobi import basis_half_integral
@@ -36,7 +39,7 @@ from .roots import parabolic
 _SPACE_RE = re.compile(r"([A-Ga-g])(\d+)\[(\d+(?:,\d+)*)\]")
 
 _MATH_ERRORS = (NotPDominant, NegativeDimension, OddWeight, ValueError)
-_INTEGRATION_ERRORS = (DegeneratePoint, FloatUnstable)
+_INTEGRATION_ERRORS = (ConsistencyError, DegeneratePoint, FloatUnstable)
 
 
 def _series_terms(series):

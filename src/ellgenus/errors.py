@@ -36,6 +36,11 @@ class DegeneratePoint(EllgenusError):
     """No generic evaluation point found for localization after retrying."""
 
 
+class ConsistencyError(EllgenusError):
+    """A built-in self-check failed: the exact localization sum differed
+    between two independent evaluation points."""
+
+
 class FloatUnstable(EllgenusError):
     """Numerical localization value did not round to a nearby small
     rational within tolerance."""

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .ci import chern_number
+from .ci import chern_number, chern_numbers
 from .qseries import LaurentY, QYSeries
 from .render import _join, _q_part, _term_body, _y_part
 from .taylor import log_todd_coefficients
@@ -395,25 +395,19 @@ def elliptic_genus_chernnum(dim, k):
 
 def elliptic_genus(manifold, k, mode="exact", rng=None):
     """Elliptic genus of a homogeneous space or complete intersection to
-    q-order k (multiplied by y^{d/2}), substituting its Chern numbers into
-    the universal expression."""
+    q-order k (multiplied by y^{d/2}), substituting its Chern numbers,
+    all computed in one chern_numbers call, into the universal expression."""
     dim = manifold.dimension()
     rng = rng if rng is not None else random.Random()
     if dim == 0:
         points = chern_number(manifold, [], mode=mode, rng=rng)
         return QYSeries.const(points, 2 * k)
     universal = elliptic_genus_chernnum(dim, k)
-    memo = {}
-    values = {}
-    for emon in universal.monomials():
-        degrees = []
-        for m, e in enumerate(emon, start=1):
-            degrees.extend([m] * e)
-        key = tuple(degrees)
-        if key not in memo:
-            memo[key] = chern_number(manifold, degrees, mode=mode, rng=rng)
-        values[emon] = memo[key]
-    return universal.substitute(values)
+    monomials = universal.monomials()
+    degree_lists = [[m for m, e in enumerate(emon, start=1) for _ in range(e)]
+                    for emon in monomials]
+    values = chern_numbers(manifold, degree_lists, mode=mode, rng=rng)
+    return universal.substitute(dict(zip(monomials, values)))
 
 
 def chi_y(manifold, mode="exact", rng=None):

@@ -7,18 +7,26 @@ formula: a sum over Weyl coset representatives of the integrand divided by
 the product of the tangent weights, evaluated at a generic point.
 
 The sum is a constant function of the point, so exact mode evaluates it at
-a random integer point (with a second independent point asserting
-constancy) instead of simplifying rational functions symbolically.
+a random integer point, and at a second independent point that must give
+the same value (ConsistencyError otherwise), instead of simplifying
+rational functions symbolically.  draw_sum and two_point_sum hold that
+protocol for any per-point sum.
+
+Chern numbers take the numeric fixed-point path of ci.chern_numbers, which
+evaluates the Chern roots at each fixed point and never builds a
+polynomial; integrate(f) on a polynomial class is kept for arbitrary
+integrands such as the listed Chern and Todd classes.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from . import bundles
 from .cohomology import CohomologyClass
-from .errors import DegeneratePoint, FloatUnstable
+from .errors import ConsistencyError, DegeneratePoint, FloatUnstable
 from .roots import ParabolicSubgroup
 from .taylor import todd_coefficients
 
@@ -78,27 +86,23 @@ class HomogeneousSpace:
         """
         exact = all(isinstance(p, Fraction) for p in point)
         total = _F(0) if exact else 0.0
+        for moved, _, euler in self.fixed_points(point):
+            total += f.evaluate(moved) / euler
+        return total
+
+    def fixed_points(self, point):
+        """At each fixed point w: the moved point A_w p, the tangent Chern
+        roots <alpha, A_w p> and their product, the Euler class of the
+        tangent space at w.  Raises DegeneratePoint when a root vanishes."""
         for rep in self.parabolic.coset_representatives():
             moved = tuple(sum(r * p for r, p in zip(row, point))
                           for row in rep.matrix)
-            den = _F(1) if exact else 1.0
-            for alpha in self.tangent_weights:
-                den *= (sum(a * p for a, p in zip(alpha.coords, moved)) if exact
-                        else sum(float(a) * p for a, p in zip(alpha.coords, moved)))
-            if den == 0:
+            roots = [sum(a * m for a, m in zip(alpha.coords, moved))
+                     for alpha in self.tangent_weights]
+            euler = prod(roots)
+            if euler == 0:
                 raise DegeneratePoint("point lies on a root hyperplane")
-            total += f.evaluate(moved) / den
-        return total
-
-    def _draw_exact(self, top, rng):
-        for _ in range(_MAX_DRAWS):
-            point = tuple(_F(rng.randint(-_POINT_BOUND, _POINT_BOUND))
-                          for _ in range(self.ambient_dim))
-            try:
-                return self.localization_sum(top, point)
-            except DegeneratePoint:
-                continue
-        raise DegeneratePoint(f"no usable point in {_MAX_DRAWS} draws")
+            yield moved, roots, euler
 
     def integrate_float_raw(self, f, rng=None):
         """Float-mode fixed-point sum of the top-degree part of f,
@@ -107,39 +111,63 @@ class HomogeneousSpace:
         if top.is_zero():
             return 0.0
         rng = rng if rng is not None else random.Random()
-        for _ in range(_MAX_DRAWS):
-            point = tuple(rng.uniform(-_POINT_BOUND, _POINT_BOUND)
-                          for _ in range(self.ambient_dim))
-            try:
-                return self.localization_sum(top, point)
-            except DegeneratePoint:
-                continue
-        raise DegeneratePoint(f"no usable point in {_MAX_DRAWS} draws")
+        return draw_sum(lambda point: self.localization_sum(top, point),
+                        self.ambient_dim, rng, exact=False)
 
     def integrate(self, f, mode="exact", rng=None):
         """Integral over G/P of the degree-d component of f.
 
         exact mode returns a Fraction computed at two independent generic
-        integer points (asserted equal); float mode evaluates at a random
-        real point and rounds to a nearby small-denominator rational,
-        raising FloatUnstable when no such rational is close enough.
+        integer points (ConsistencyError unless equal); float mode
+        evaluates at a random real point and rounds to a nearby
+        small-denominator rational, raising FloatUnstable when no such
+        rational is close enough.
         """
         if mode not in ("exact", "float"):
             raise ValueError(f"unknown integration mode {mode!r}")
         if mode == "float":
             value = self.integrate_float_raw(f, rng)
-            return _round_float(value)
+            return round_float(value)
         top = f.graded_component(self.dimension())
         if top.is_zero():
             return _F(0)
         rng = rng if rng is not None else random.Random()
-        first = self._draw_exact(top, rng)
-        second = self._draw_exact(top, rng)
-        assert first == second, "localization sum not constant between points"
-        return first
+        return two_point_sum(lambda point: self.localization_sum(top, point),
+                             self.ambient_dim, rng)
 
 
-def _round_float(value):
+def draw_sum(point_sum, n, rng, exact=True):
+    """point_sum at the first usable random point with n coordinates:
+    integers (as Fractions) in exact mode, uniform floats otherwise.  A
+    point on a root hyperplane (DegeneratePoint) is redrawn, at most
+    _MAX_DRAWS times."""
+    for _ in range(_MAX_DRAWS):
+        if exact:
+            point = tuple(_F(rng.randint(-_POINT_BOUND, _POINT_BOUND))
+                          for _ in range(n))
+        else:
+            point = tuple(rng.uniform(-_POINT_BOUND, _POINT_BOUND)
+                          for _ in range(n))
+        try:
+            return point_sum(point)
+        except DegeneratePoint:
+            continue
+    raise DegeneratePoint(f"no usable point in {_MAX_DRAWS} draws")
+
+
+def two_point_sum(point_sum, n, rng):
+    """Exact point_sum at two independent points.  A localization sum does
+    not depend on the point, so the two values must agree; ConsistencyError
+    otherwise."""
+    first = draw_sum(point_sum, n, rng)
+    second = draw_sum(point_sum, n, rng)
+    if first != second:
+        raise ConsistencyError(
+            f"localization sum not constant between points: {first} != {second}")
+    return first
+
+
+def round_float(value):
     """Nearest integer when within tolerance, else a small-denominator
     rational; FloatUnstable when neither is close enough."""
     tol = _FLOAT_TOL * max(1.0, abs(value))

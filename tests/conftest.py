@@ -22,3 +22,20 @@ class RiggedZeroRng:
 @pytest.fixture
 def zero_rng():
     return RiggedZeroRng()
+
+
+@pytest.fixture
+def drifting_point_sums(monkeypatch):
+    """Replace the per-point Chern-number sums by values that change from
+    one evaluation point to the next, so the two-point check must fail."""
+    from fractions import Fraction
+    from itertools import count
+
+    from ellgenus import ci
+
+    calls = count()
+
+    def drifting(space, section, monomials, point):
+        return [Fraction(next(calls))] * len(monomials)
+
+    monkeypatch.setattr(ci, "_fixed_point_sums", drifting)

@@ -1,14 +1,21 @@
 """Complete intersections: adjunction, pushforward and classic numbers."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ellgenus
 from ellgenus.bundles import completely_reducible_bundle
-from ellgenus.ci import (CompleteIntersection, chern_number,
+from ellgenus.ci import (CompleteIntersection, chern_number, chern_numbers,
                          complete_intersection)
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.homog import homogeneous_space
+from ellgenus.errors import ConsistencyError, DegeneratePoint
+from ellgenus.homog import HomogeneousSpace, homogeneous_space
 
 
 def _ci(space_spec, crossed, highest_weights):
@@ -125,3 +132,111 @@ def test_float_mode_matches_exact(quintic, rng):
     assert chern_number(quintic, [3], mode="float", rng=rng) == -200
     raw = quintic.integrate_float_raw(quintic.chern_classes()[3], rng)
     assert abs(raw + 200) < 1e-6
+
+
+# --- chern_numbers: the fixed-point-first path ---------------------------------
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing lists."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k] + rest
+
+
+CROSS_CHECKED = {
+    "Gr(3,5)": ("A4", [3], []),
+    "quintic": ("A4", [1], [(5, 0, 0, 0)]),
+    "Gr(2,5)(1,1,3)": ("A4", [2], [(0, 1, 0, 0), (0, 1, 0, 0), (0, 3, 0, 0)]),
+    "G2[1,2]": ("G2", [1, 2], []),
+}
+
+
+@pytest.mark.parametrize("name", CROSS_CHECKED)
+def test_chern_numbers_match_polynomial_integration(name):
+    spec, crossed, weights = CROSS_CHECKED[name]
+    manifold = (_ci(spec, crossed, weights) if weights
+                else homogeneous_space(spec, crossed))
+    classes = manifold.chern_classes()
+    parts = list(_partitions(manifold.dimension()))
+    expected = []
+    for degrees in parts:
+        f = CohomologyClass.one(manifold.ambient_dim)
+        for k in degrees:
+            f = f * classes[k]
+        expected.append(manifold.integrate(f))
+    assert chern_numbers(manifold, parts) == expected
+
+
+def test_chern_numbers_validation(quintic):
+    # lists whose degrees do not sum to the dimension, the empty one
+    # included, are zero; the others are integrated in the same call
+    assert chern_numbers(quintic, [[], [1], [3], [1, 1]]) == [0, 0, -200, 0]
+    assert chern_numbers(quintic, []) == []
+    for bad in ([4], [0, 3], [-1, 4]):
+        with pytest.raises(ValueError):
+            chern_numbers(quintic, [[3], bad])
+    with pytest.raises(ValueError):
+        chern_numbers(quintic, [[3]], mode="symbolic")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_chern_numbers_degenerate_points_raise(k3, zero_rng, mode):
+    # P3 and the quartic K3 in it: a G/P and a complete intersection
+    for manifold in (k3.ambient, k3):
+        top = manifold.dimension()
+        with pytest.raises(DegeneratePoint):
+            chern_numbers(manifold, [[top], [1] * top], mode=mode, rng=zero_rng)
+
+
+def test_chern_numbers_float_mode(quintic, rng):
+    assert chern_numbers(quintic, [[3], [1, 2]], mode="float",
+                         rng=rng) == [-200, 0]
+
+
+def test_disagreeing_points_raise_consistency_error(quintic,
+                                                    drifting_point_sums):
+    with pytest.raises(ConsistencyError):
+        chern_numbers(quintic, [[3], [1, 2]])
+    with pytest.raises(ConsistencyError):
+        chern_number(homogeneous_space("A2", [1]), [2])
+
+
+def test_polynomial_integration_checks_its_two_points(monkeypatch):
+    drift = iter(range(100))
+    monkeypatch.setattr(HomogeneousSpace, "localization_sum",
+                        lambda self, f, point: Fraction(next(drift)))
+    p2 = homogeneous_space("A2", [1])
+    with pytest.raises(ConsistencyError):
+        p2.integrate(p2.chern_classes()[2])
+
+
+def test_consistency_check_survives_optimized_python():
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from itertools import count
+
+        from ellgenus import ci, homogeneous_space
+        from ellgenus.errors import ConsistencyError
+
+        assert False, "assert statements are still active"
+        calls = count()
+        ci._fixed_point_sums = (
+            lambda space, section, monomials, point:
+            [Fraction(next(calls))] * len(monomials))
+        try:
+            ci.chern_number(homogeneous_space("A2", [1]), [2])
+        except ConsistencyError:
+            print("ConsistencyError")
+    """)
+    src = str(Path(ellgenus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ConsistencyError"

@@ -196,6 +196,17 @@ def test_degenerate_sampling_exits_4(zero_rng):
     assert "integration failed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chern", "--space", "A4[3]", "--degrees", "3,3"],
+    ["chi-y", "--space", "A3[1]", "--bundle", "4,0,0"],
+], ids=" ".join)
+def test_failed_self_check_exits_4(argv, drifting_point_sums):
+    code, out, err = run(argv)
+    assert code == 4
+    assert out == ""
+    assert "integration failed" in err
+
+
 def test_float_mode_with_seed_is_deterministic():
     argv = ["chern", "--space", "A4[3]", "--degrees", "1,1,1,1,1,1",
             "--mode", "float", "--seed", "7"]

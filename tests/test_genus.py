@@ -1,6 +1,7 @@
 """Elliptic genus: frozen listings, an independent sheaf-theoretic oracle,
 and the structural identities expected of weak Jacobi forms."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,23 @@ def test_chi_y_top_coefficient_counts_todd_genus(k3):
                   homogeneous_space("G2", [2])]:
         assert chi_y(space).c.get(0, 0) == 1
     assert chi_y(k3).c.get(0) == 2
+
+
+@pytest.mark.parametrize("spec,crossed", [
+    ("A5", [2]), ("C3", [1, 2, 3]), ("D5", [5]), ("B3", [2]), ("G2", [1, 2]),
+])
+def test_chi_y_counts_bruhat_cells(spec, crossed):
+    # h^{p,q}(G/P) = 0 for p != q and h^{p,p} counts the Schubert cells of
+    # dimension p, one per w in W^P of length p; the length is counted as
+    # the positive roots that w sends to negative ones
+    space = homogeneous_space(spec, crossed)
+    rs = space.root_system
+    reps = space.parabolic.coset_representatives()
+    cells = Counter(sum(1 for a in rs.positive_roots
+                        if not rs.is_positive_root(w.apply(a)))
+                    for w in reps)
+    assert chi_y(space) == LaurentY({k: Fraction(n) for k, n in cells.items()})
+    assert chern_number(space, [space.dimension()]) == len(reps)
 
 
 # --- symmetric function engine ------------------------------------------------
