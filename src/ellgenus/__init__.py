@@ -15,7 +15,7 @@ from .cohomology import CohomologyClass
 from .errors import (BaseMismatch, ConsistencyError, DegeneratePoint,
                      DivisionByNonUnit, EllgenusError, FloatUnstable,
                      NegativeDimension, NotPDominant, OddWeight, PrecisionZero,
-                     SeriesError, UnknownType, WedgeTooLarge)
+                     SeriesError, TooLarge, UnknownType, WedgeTooLarge)
 from .genus import (ChernSymbolSeries, chi_y, elliptic_genus,
                     elliptic_genus_chernnum)
 from .homog import HomogeneousSpace, homogeneous_space
@@ -34,7 +34,7 @@ __all__ = [
     "DivisionByNonUnit", "EllgenusError", "EquivariantVectorBundle",
     "FloatUnstable", "HomogeneousSpace", "JacobiBasisElement", "LaurentY",
     "NegativeDimension", "NotPDominant", "OddWeight", "ParabolicSubgroup",
-    "PrecisionZero", "QYSeries", "RootSystem", "SeriesError", "UnknownType",
+    "PrecisionZero", "QYSeries", "RootSystem", "SeriesError", "TooLarge", "UnknownType",
     "WedgeTooLarge", "Weight", "WeylElement", "basis_half_integral",
     "basis_integral", "chern_number", "chern_numbers", "chi_y",
     "complete_intersection", "completely_reducible_bundle", "eisenstein",

@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 malformed command line, 3 mathematically invalid
 input (odd basis weight, non-dominant bundle weight, negative-dimensional
 intersection, bad degree list), 4 integration failure (no generic
 evaluation point, an unstable float rounding, or the two evaluation points
-of the exact self-check disagreeing).  Results go to stdout; diagnostics
-to stderr.
+of the exact self-check disagreeing), 5 a space with more fixed points
+than roots.MAX_FIXED_POINTS (refused before any enumeration).  Results go
+to stdout; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .bundles import completely_reducible_bundle
 from .ci import CompleteIntersection, chern_number
 from .errors import (ConsistencyError, DegeneratePoint, EllgenusError,
                      FloatUnstable, NegativeDimension, NotPDominant, OddWeight,
-                     UnknownType)
+                     TooLarge, UnknownType)
 from .genus import chi_y, elliptic_genus
 from .homog import HomogeneousSpace
 from .jacobi import basis_half_integral
@@ -261,6 +262,9 @@ def main(argv=None, rng=None):
     except _INTEGRATION_ERRORS as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return 4
+    except TooLarge as err:
+        print(f"too large: {err}", file=sys.stderr)
+        return 5
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

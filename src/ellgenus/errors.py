@@ -38,7 +38,14 @@ class DegeneratePoint(EllgenusError):
 
 class ConsistencyError(EllgenusError):
     """A built-in self-check failed: the exact localization sum differed
-    between two independent evaluation points."""
+    between two independent evaluation points, a Cartan matrix entry was
+    not an integer, a Freudenthal multiplicity was not a positive integer,
+    or a Weyl dimension was not an integer."""
+
+
+class TooLarge(EllgenusError):
+    """The request would enumerate more fixed points than
+    roots.MAX_FIXED_POINTS."""
 
 
 class FloatUnstable(EllgenusError):

@@ -75,7 +75,8 @@ class HomogeneousSpace:
     # ----- localization ---------------------------------------------------
 
     def fixed_point_count(self):
-        return len(self.parabolic.coset_representatives())
+        """|W^P|, from the closed form, without enumerating the points."""
+        return self.parabolic.fixed_point_count()
 
     def localization_sum(self, f, point):
         """The raw fixed-point sum of f at one point, with no degree

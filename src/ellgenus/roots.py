@@ -4,16 +4,31 @@ Realizations follow the standard ambient spaces with Bourbaki node
 numbering: A_n lives in R^{n+1} with fundamental weights
 e_1 + ... + e_k, B_n/C_n/D_n in R^n, G_2 in R^3, F_4 in R^4 and the E
 types in R^8.  All coordinates are exact rationals.
+
+Roots are built in integers, as coefficient tuples over the simple roots
+closed under s_i(c) = c - <c, alpha_i-check> e_i with the Cartan matrix,
+and only then written in ambient coordinates.  Weyl group elements,
+Weyl orbits and the minimal coset representatives W^P all come from one
+breadth-first walk over a W-orbit of weights in fundamental-weight
+coordinates (Humphreys, Reflection Groups and Coxeter Groups, 1.10-1.12):
+the orbit of lambda = sum of the crossed fundamental weights is in
+bijection with W^P, and each accepted step multiplies the carried matrix
+by a simple reflection with a rank-one update.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm, prod
 
-from .errors import NotPDominant, UnknownType
+from .errors import ConsistencyError, NotPDominant, TooLarge, UnknownType
 
 _F = Fraction
+MAX_FIXED_POINTS = 10 ** 5
+"""Largest |W^P| that ParabolicSubgroup.coset_representatives enumerates;
+beyond it TooLarge is raised before any walking (the full E8 flag has
+696729600 fixed points)."""
 _RANK_RULES = {"A": lambda n: n >= 1, "B": lambda n: n >= 2, "C": lambda n: n >= 3,
                "D": lambda n: n >= 4, "E": lambda n: n in (6, 7, 8),
                "F": lambda n: n == 4, "G": lambda n: n == 2}
@@ -142,13 +157,6 @@ class WeylElement:
         return f"WeylElement(word={self.word})"
 
 
-def _reflection_matrix(alpha):
-    n = len(alpha)
-    nrm = alpha.norm2()
-    return tuple(tuple((_F(1) if i == j else _F(0)) - 2 * alpha[i] * alpha[j] / nrm
-                       for j in range(n)) for i in range(n))
-
-
 def _simple_root_coords(letter, rank):
     if letter == "A":
         dim = rank + 1
@@ -185,6 +193,23 @@ def _simple_root_coords(letter, rank):
     raise UnknownType(letter)
 
 
+def _integral_cartan(simple_roots):
+    """Rows a[i] = (<alpha_j, alpha_i-check>)_j as integers; ConsistencyError
+    when an entry is not an integer, which no crystallographic root system
+    allows."""
+    rows = []
+    for a in simple_roots:
+        row = []
+        for b in simple_roots:
+            v = b.pair(a)
+            if v.denominator != 1:
+                raise ConsistencyError(f"Cartan entry <{b}, {a}-check> = {v} "
+                                       "is not an integer")
+            row.append(int(v))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 class RootSystem:
     """Irreducible root system of one of the types A..G."""
 
@@ -195,10 +220,13 @@ class RootSystem:
         self.rank = rank
         self.simple_roots = [Weight(r) for r in _simple_root_coords(letter, rank)]
         self.ambient_dim = len(self.simple_roots[0])
-        gram = [[a.dot(b) for b in self.simple_roots] for a in self.simple_roots]
-        self._gram_inv = _inverse(gram)
-        self._simple_reflections = [WeylElement(_reflection_matrix(a), (i + 1,))
-                                    for i, a in enumerate(self.simple_roots)]
+        self._cartan = _integral_cartan(self.simple_roots)
+        # per simple root: (j, alpha_j, alpha-check_j) over its nonzero coordinates
+        self._supports = [[(j, a, 2 * a / alpha.norm2()) for j, a in enumerate(alpha)
+                           if a] for alpha in self.simple_roots]
+        identity = WeylElement.identity(self.ambient_dim)
+        self._simple_reflections = [self._times_simple(identity, i)
+                                    for i in range(1, rank + 1)]
         self._build_roots()
         self._build_fundamental_weights()
 
@@ -213,32 +241,51 @@ class RootSystem:
         """Reflection in the i-th simple root, i in 1..rank."""
         return self._simple_reflections[i - 1]
 
-    def _expand_in_simple(self, v):
-        """Coefficients of v over the simple roots, assuming v lies in their span."""
-        dots = [v.dot(a) for a in self.simple_roots]
-        return _matvec(self._gram_inv, dots)
+    def _times_simple(self, elem, i):
+        """elem * s_i by the rank-one update M - (M alpha_i)(alpha_i-check)^T,
+        touching only the columns where alpha_i is nonzero."""
+        support = self._supports[i - 1]
+        rows = []
+        for row in elem.matrix:
+            t = sum(row[j] * a for j, a, _ in support)
+            if t:
+                row = list(row)
+                for j, _, k in support:
+                    row[j] -= t * k
+            rows.append(row)
+        return WeylElement(rows, elem.word + (i,))
 
     def _build_roots(self):
-        roots = set(self.simple_roots)
-        frontier = list(roots)
+        """Positive roots from integer coefficient tuples: s_i maps a positive
+        root other than alpha_i to a positive root, and every positive root
+        is reached from a simple one this way."""
+        rank = self.rank
+        simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        found = set(simple)
+        frontier = simple
         while frontier:
             nxt = []
-            for r in frontier:
-                for a in self.simple_roots:
-                    img = r.reflect(a)
-                    if img not in roots:
-                        roots.add(img)
+            for c in frontier:
+                for i, row in enumerate(self._cartan):
+                    p = sum(x * a for x, a in zip(c, row))
+                    if not p or c == simple[i]:
+                        continue
+                    img = c[:i] + (c[i] - p,) + c[i + 1:]
+                    if img not in found:
+                        found.add(img)
                         nxt.append(img)
             frontier = nxt
+        # ambient coordinates in integers over a common denominator
+        den = lcm(*(a.denominator for alpha in self.simple_roots for a in alpha))
+        columns = list(zip(*([int(a * den) for a in alpha]
+                             for alpha in self.simple_roots)))
         coeffs = {}
         positive = []
-        for r in roots:
-            c = self._expand_in_simple(r)
-            assert all(x.denominator == 1 for x in c)
-            if all(x >= 0 for x in c):
-                positive.append(r)
-                coeffs[r] = tuple(int(x) for x in c)
-        positive.sort(key=lambda r: (sum(coeffs[r]), tuple(-x for x in coeffs[r])))
+        for c in sorted(found, key=lambda c: (sum(c), tuple(-x for x in c))):
+            root = Weight([_F(sum(x * s for x, s in zip(c, col)), den)
+                           for col in columns])
+            positive.append(root)
+            coeffs[root] = c
         self.positive_roots = positive
         self._positive_set = frozenset(r.coords for r in positive)
         self._root_coefficients = coeffs
@@ -254,8 +301,7 @@ class RootSystem:
                 Weight([1 if j <= i else 0 for j in range(dim)]) for i in range(self.rank)]
             return
         # unique solution inside the span of the simple roots
-        cartan = [[b.pair(a) for b in self.simple_roots] for a in self.simple_roots]
-        inv = _inverse(cartan)
+        inv = _inverse(self._cartan)
         fw = []
         for i in range(self.rank):
             coeffs = [inv[j][i] for j in range(self.rank)]
@@ -267,7 +313,7 @@ class RootSystem:
 
     def cartan_matrix(self):
         """Entries a[i][j] = <alpha_j, alpha_i-check>."""
-        return [[int(b.pair(a)) for b in self.simple_roots] for a in self.simple_roots]
+        return [list(row) for row in self._cartan]
 
     def is_positive_root(self, v):
         return v.coords in self._positive_set
@@ -301,47 +347,53 @@ def root_system(spec):
     return RootSystem(str(letter).upper(), int(rank))
 
 
-def weyl_orbit(rs, weight):
-    """Orbit of a weight under the full Weyl group, in search order."""
-    seen = {weight}
-    frontier = [weight]
-    order = [weight]
+def _walk(rs, labels, start, step, limit=None):
+    """Breadth-first walk over the W-orbit of a weight mu given by its
+    pairings with the simple coroots, trying s_1..s_rank in that order
+    from each point.  A step to a new point s_i mu extends the item carried
+    by mu to step(item, i); steps with s_i mu = mu or onto a point already
+    seen add nothing.  Returns the items in walk order; RuntimeError once
+    there are more than limit of them."""
+    mu = tuple(labels)
+    seen = {mu}
+    order = [start]
+    frontier = [(mu, start)]
     while frontier:
         nxt = []
-        for w in frontier:
-            for a in rs.simple_roots:
-                img = w.reflect(a)
-                if img not in seen:
-                    seen.add(img)
-                    order.append(img)
-                    nxt.append(img)
+        for mu, item in frontier:
+            for i, c in enumerate(mu):
+                if not c:
+                    continue
+                # <s_i mu, alpha_j-check> = mu_j - c <alpha_i, alpha_j-check>
+                nu = tuple(m - c * row[i] for m, row in zip(mu, rs._cartan))
+                if nu in seen:
+                    continue
+                seen.add(nu)
+                new = step(item, i + 1)
+                order.append(new)
+                nxt.append((nu, new))
+                if limit is not None and len(order) > limit:
+                    raise RuntimeError("orbit larger than the given limit")
         frontier = nxt
     return order
 
 
+def weyl_orbit(rs, weight):
+    """Orbit of a weight under the full Weyl group, in search order."""
+    return _walk(rs, rs.fundamental_coordinates(weight), weight,
+                 lambda w, i: w.reflect(rs.simple_roots[i - 1]))
+
+
 def weyl_elements(rs, limit=None):
-    """All Weyl group elements by breadth-first search over reduced words.
+    """All Weyl group elements, in breadth-first order of reduced words:
+    the coset walk with every node crossed, whose orbit weight rho is
+    regular, so the walk meets each element of W once.
 
     Intended for the small groups exercised in tests; pass a limit to
     guard against accidental use on the huge E types.
     """
-    identity = WeylElement.identity(rs.ambient_dim)
-    seen = {identity}
-    frontier = [identity]
-    order = [identity]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for i in range(1, rs.rank + 1):
-                v = u * rs.simple_reflection(i)
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-                    nxt.append(v)
-                    if limit is not None and len(order) > limit:
-                        raise RuntimeError("Weyl group larger than the given limit")
-        frontier = nxt
-    return order
+    return _walk(rs, [1] * rs.rank, WeylElement.identity(rs.ambient_dim),
+                 rs._times_simple, limit)
 
 
 class ParabolicSubgroup:
@@ -367,8 +419,9 @@ class ParabolicSubgroup:
         self.levi_positive_roots = [
             r for r in self.root_system.positive_roots
             if all(self.root_system.root_coefficients(r)[i] == 0 for i in crossed_ix)]
+        levi = set(self.levi_positive_roots)
         self.nilradical_roots = [r for r in self.root_system.positive_roots
-                                 if r not in set(self.levi_positive_roots)]
+                                 if r not in levi]
         self._levi_gram_inv = (_inverse([[a.dot(b) for b in self.levi_simple_roots]
                                          for a in self.levi_simple_roots])
                                if self.levi_simple_roots else None)
@@ -381,31 +434,34 @@ class ParabolicSubgroup:
         """Complex dimension of the associated homogeneous space G/P."""
         return len(self.nilradical_roots)
 
+    def fixed_point_count(self):
+        """|W^P| = |W| / |W_L| without walking.  |W| is the product of
+        (ht alpha + 1) / ht alpha over the positive roots, and likewise for
+        the Levi, whose roots keep their heights, so the quotient is the
+        product over the nilradical roots."""
+        rs = self.root_system
+        heights = [sum(rs.root_coefficients(r)) for r in self.nilradical_roots]
+        return prod(h + 1 for h in heights) // prod(heights)
+
     def coset_representatives(self):
-        """Minimal-length representatives w with w^{-1}(alpha) > 0 for every
-        Levi simple root alpha, found by breadth-first search; one per
-        fixed point of the torus action on G/P."""
+        """Minimal-length representatives v, with v^{-1}(alpha) > 0 for every
+        Levi simple root alpha, one per fixed point of the torus action on
+        G/P, in breadth-first order of reduced words.
+
+        They come from the walk over the W-orbit of lambda = sum of the
+        crossed fundamental weights, whose stabilizer is W_L: a step
+        v -> v s_i is a new representative exactly when s_i v^{-1} lambda is
+        a new orbit point (Deodhar's lemma).  TooLarge, before walking,
+        when there are more than MAX_FIXED_POINTS of them."""
         if self._reps is None:
+            count = self.fixed_point_count()
+            if count > MAX_FIXED_POINTS:
+                raise TooLarge(f"{self!r} has {count} fixed points, more than "
+                               f"the limit of {MAX_FIXED_POINTS}")
             rs = self.root_system
-            identity = WeylElement.identity(rs.ambient_dim)
-            kept = {identity}
-            frontier = [identity]
-            order = [identity]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for i in range(1, rs.rank + 1):
-                        v = u * rs.simple_reflection(i)
-                        if v in kept:
-                            continue
-                        vinv = v.inverse()
-                        if all(rs.is_positive_root(vinv.apply(a))
-                               for a in self.levi_simple_roots):
-                            kept.add(v)
-                            order.append(v)
-                            nxt.append(v)
-                frontier = nxt
-            self._reps = order
+            labels = [int(i in self.crossed) for i in range(1, rs.rank + 1)]
+            self._reps = _walk(rs, labels, WeylElement.identity(rs.ambient_dim),
+                               rs._times_simple)
         return self._reps
 
     def _levi_dominant(self, v):
@@ -444,11 +500,7 @@ class ParabolicSubgroup:
         Crossed-node coefficients may be negative; uncrossed ones must be
         nonnegative or NotPDominant is raised.
         """
-        rs = self.root_system
-        lam = rs.weight_from_fundamental([int(c) for c in coefficients])
-        for node, a in zip(self.levi_nodes, self.levi_simple_roots):
-            if lam.pair(a) < 0:
-                raise NotPDominant(f"negative pairing with uncrossed node {node}")
+        lam, rho = self._highest_weight(coefficients)
         if not self.levi_simple_roots:
             return {lam: 1}
         levels = [[lam]]
@@ -462,9 +514,6 @@ class ParabolicSubgroup:
                         seen.add(nu)
                         nxt.append(nu)
             levels.append(nxt)
-        rho = Weight([0] * rs.ambient_dim)
-        for r in self.levi_positive_roots:
-            rho = rho + r * _F(1, 2)
         lam_rho = lam + rho
         top_norm = lam_rho.dot(lam_rho)
         mult = {lam: 1}
@@ -480,13 +529,28 @@ class ParabolicSubgroup:
                         nu = nu + a
                 mu_rho = mu + rho
                 m = 2 * total / (top_norm - mu_rho.dot(mu_rho))
-                assert m.denominator == 1 and m > 0, f"multiplicity {m} at {mu}"
+                if m.denominator != 1 or m <= 0:
+                    raise ConsistencyError(f"Freudenthal multiplicity {m} at {mu} "
+                                           "is not a positive integer")
                 mult[mu] = int(m)
         return mult
 
     def weyl_dimension(self, coefficients):
         """Dimension of the same Levi module by the Weyl formula, an
         independent cross-check of the multiplicity recursion."""
+        lam, rho = self._highest_weight(coefficients)
+        dim = _F(1)
+        for r in self.levi_positive_roots:
+            dim *= (lam + rho).dot(r) / rho.dot(r)
+        if dim.denominator != 1:
+            raise ConsistencyError(f"Weyl dimension {dim} is not an integer")
+        return int(dim)
+
+    def _highest_weight(self, coefficients):
+        """The ambient highest weight with the given integer coefficients over
+        the fundamental weights, and the Levi rho (half the sum of the Levi
+        positive roots); NotPDominant when it pairs negatively with an
+        uncrossed simple coroot."""
         rs = self.root_system
         lam = rs.weight_from_fundamental([int(c) for c in coefficients])
         for node, a in zip(self.levi_nodes, self.levi_simple_roots):
@@ -495,11 +559,7 @@ class ParabolicSubgroup:
         rho = Weight([0] * rs.ambient_dim)
         for r in self.levi_positive_roots:
             rho = rho + r * _F(1, 2)
-        dim = _F(1)
-        for r in self.levi_positive_roots:
-            dim *= (lam + rho).dot(r) / rho.dot(r)
-        assert dim.denominator == 1
-        return int(dim)
+        return lam, rho
 
     def dynkin_ascii(self):
         return _dynkin_ascii(self.root_system, self.crossed)

@@ -39,3 +39,15 @@ def drifting_point_sums(monkeypatch):
         return [Fraction(next(calls))] * len(monomials)
 
     monkeypatch.setattr(ci, "_fixed_point_sums", drifting)
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    """Fail fast if anything starts enumerating a Weyl orbit, so a test of
+    a refused huge space cannot hang when the refusal is missing."""
+    from ellgenus import roots
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk must not start")
+
+    monkeypatch.setattr(roots, "_walk", refuse)

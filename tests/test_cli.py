@@ -7,6 +7,7 @@ for the integration-failure path.
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -205,6 +206,24 @@ def test_failed_self_check_exits_4(argv, drifting_point_sums):
     assert code == 4
     assert out == ""
     assert "integration failed" in err
+
+
+E8_FLAG = "E8[1,2,3,4,5,6,7,8]"
+
+
+def test_info_counts_full_e8_flag_without_walking(no_walk):
+    code, out, _ = run(["info", "--space", E8_FLAG])
+    assert code == 0
+    assert out.endswith("dimension: 120\nfixed points: 696729600\n")
+
+
+def test_too_many_fixed_points_exits_5(no_walk):
+    start = time.perf_counter()
+    code, out, err = run(["chern", "--space", E8_FLAG, "--degrees", "120"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 5
+    assert out == ""
+    assert "696729600" in err
 
 
 def test_float_mode_with_seed_is_deterministic():

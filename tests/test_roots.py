@@ -1,15 +1,22 @@
 """Root systems, Weyl groups and parabolic subgroups."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.errors import NotPDominant, UnknownType
-from ellgenus.roots import (ParabolicSubgroup, Weight, WeylElement,
-                            min_coset_reps, parabolic, root_system,
-                            weyl_elements, weyl_orbit)
+import ellgenus
+from ellgenus import roots
+from ellgenus.errors import ConsistencyError, NotPDominant, TooLarge, UnknownType
+from ellgenus.roots import (MAX_FIXED_POINTS, ParabolicSubgroup, Weight,
+                            WeylElement, min_coset_reps, parabolic,
+                            root_system, weyl_elements, weyl_orbit)
 
 POSITIVE_ROOT_COUNTS = {
     "A1": 1, "A2": 3, "A4": 10, "B2": 4, "B3": 9, "C3": 9, "C4": 16,
@@ -279,3 +286,205 @@ def test_dynkin_ascii_frozen():
 def test_weight_str_uses_integer_tuples():
     assert str(Weight([Fraction(5), Fraction(4), Fraction(0)])) == "(5, 4, 0)"
     assert str(Weight([Fraction(1, 2), Fraction(-1, 2)])) == "(1/2, -1/2)"
+
+
+# --------------------------------------------------------------------------
+# oracles for the orbit walk and the integer root build: the direct
+# constructions they replaced, kept here as references
+
+
+def _reference_bfs(rs, accept):
+    """Breadth-first search over products u * s_i by full matrix
+    multiplication, keeping the new elements that pass accept."""
+    identity = WeylElement.identity(rs.ambient_dim)
+    kept = {identity}
+    frontier = [identity]
+    order = [identity]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for i in range(1, rs.rank + 1):
+                v = u * rs.simple_reflection(i)
+                if v not in kept and accept(v):
+                    kept.add(v)
+                    order.append(v)
+                    nxt.append(v)
+        frontier = nxt
+    return order
+
+
+def _reference_cosets(p):
+    rs = p.root_system
+    return _reference_bfs(rs, lambda v: all(
+        rs.is_positive_root(v.inverse().apply(a)) for a in p.levi_simple_roots))
+
+
+def _reference_roots(rs):
+    """Positive roots by closing the ambient simple roots under reflections
+    and expanding each root over the simple roots with the Gram matrix."""
+    simple = rs.simple_roots
+    found = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for a in simple:
+                img = r.reflect(a)
+                if img not in found:
+                    found.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    n = len(simple)
+    gram = [[Fraction(a.dot(b)) for b in simple] for a in simple]
+    coeffs = {}
+    for r in found:
+        # solve gram * c = (r . alpha_j)_j by Gaussian elimination
+        aug = [row[:] + [r.dot(a)] for row, a in zip(gram, simple)]
+        for col in range(n):
+            piv = next(k for k in range(col, n) if aug[k][col])
+            aug[col], aug[piv] = aug[piv], aug[col]
+            aug[col] = [v / aug[col][col] for v in aug[col]]
+            for k in range(n):
+                if k != col and aug[k][col]:
+                    f = aug[k][col]
+                    aug[k] = [x - f * y for x, y in zip(aug[k], aug[col])]
+        c = tuple(row[n] for row in aug)
+        assert all(x.denominator == 1 for x in c)
+        if all(x >= 0 for x in c):
+            coeffs[r] = tuple(int(x) for x in c)
+    positive = sorted(coeffs, key=lambda r: (sum(coeffs[r]),
+                                             tuple(-x for x in coeffs[r])))
+    return positive, coeffs
+
+
+@pytest.mark.parametrize("spec,crossed", [
+    ("A4", [3]), ("B3", [1, 3]), ("C4", [1, 2, 3, 4]), ("D4", [1, 3, 4]),
+    ("F4", [2]), ("G2", [1, 2]), ("E6", [1])])
+def test_coset_walk_matches_matrix_product_bfs(spec, crossed):
+    p = parabolic(spec, crossed)
+    got = [(w.matrix, w.word) for w in p.coset_representatives()]
+    assert got == [(w.matrix, w.word) for w in _reference_cosets(p)]
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+def test_weyl_elements_match_matrix_product_bfs(spec):
+    rs = root_system(spec)
+    got = [(w.matrix, w.word) for w in weyl_elements(rs)]
+    assert got == [(w.matrix, w.word) for w in _reference_bfs(rs, lambda v: True)]
+
+
+def test_weyl_orbit_matches_reflection_bfs():
+    rs = root_system("B3")
+    for weight in [rs.fundamental_weights[2],
+                   rs.weight_from_fundamental((3, 0, -1)),
+                   Weight([Fraction(1, 3), 2, 5])]:
+        seen, order, frontier = {weight}, [weight], [weight]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for a in rs.simple_roots:
+                    img = w.reflect(a)
+                    if img not in seen:
+                        seen.add(img)
+                        order.append(img)
+                        nxt.append(img)
+            frontier = nxt
+        assert weyl_orbit(rs, weight) == order
+
+
+def test_weyl_elements_limit():
+    with pytest.raises(RuntimeError):
+        weyl_elements(root_system("B3"), limit=47)
+    assert len(weyl_elements(root_system("B3"), limit=48)) == 48
+
+
+@pytest.mark.parametrize("spec", ["A1", "A4", "B2", "B4", "C3", "C5", "D4",
+                                  "D6", "E6", "E7", "E8", "F4", "G2"])
+def test_integer_root_build_matches_ambient_closure(spec):
+    rs = root_system(spec)
+    positive, coeffs = _reference_roots(rs)
+    assert rs.positive_roots == positive
+    assert [rs.root_coefficients(r) for r in rs.positive_roots] == \
+        [coeffs[r] for r in positive]
+
+
+@pytest.mark.parametrize("spec,crossed", [
+    ("E6", [2]), ("E7", [7]), ("E7", [1]), ("E8", [8]), ("A4", [3]),
+    ("A5", [1, 3, 5]), ("B5", [1, 2]), ("C4", [1, 2, 3, 4]), ("D5", [5]),
+    ("F4", [1, 4]), ("G2", [1, 2])])
+def test_fixed_point_count_matches_walk(spec, crossed):
+    p = parabolic(spec, crossed)
+    assert p.fixed_point_count() == len(p.coset_representatives())
+
+
+def test_full_e8_flag_is_counted_and_refused_without_walking(no_walk):
+    p = parabolic("E8", range(1, 9))
+    assert p.fixed_point_count() == 696729600
+    assert parabolic("E7", [1]).fixed_point_count() == 126
+    with pytest.raises(TooLarge):
+        p.coset_representatives()
+    assert parabolic("E7", range(1, 8)).fixed_point_count() > MAX_FIXED_POINTS
+
+
+# --------------------------------------------------------------------------
+# self-checks
+
+
+def _tripled_rho(monkeypatch):
+    original = ParabolicSubgroup._highest_weight
+
+    def wrong(self, coefficients):
+        lam, rho = original(self, coefficients)
+        return lam, rho * 3
+
+    monkeypatch.setattr(ParabolicSubgroup, "_highest_weight", wrong)
+
+
+def test_non_integral_cartan_entry_raises(monkeypatch):
+    # <(1, 0), (1, 2)-check> = 2/5
+    monkeypatch.setattr(roots, "_simple_root_coords",
+                        lambda letter, rank: [[1, 0], [1, 2]])
+    with pytest.raises(ConsistencyError):
+        root_system("G2")
+
+
+def test_freudenthal_check_raises(monkeypatch):
+    _tripled_rho(monkeypatch)
+    with pytest.raises(ConsistencyError):
+        parabolic("A2", [1]).weight_multiplicities((0, 1))
+
+
+def test_weyl_dimension_check_raises(monkeypatch):
+    _tripled_rho(monkeypatch)
+    with pytest.raises(ConsistencyError):
+        parabolic("A2", [1]).weyl_dimension((0, 1))
+
+
+def test_root_checks_survive_optimized_python():
+    script = textwrap.dedent("""
+        from ellgenus import roots
+        from ellgenus.errors import ConsistencyError
+
+        assert False, "assert statements are still active"
+        original = roots.ParabolicSubgroup._highest_weight
+        roots.ParabolicSubgroup._highest_weight = (
+            lambda self, c: (original(self, c)[0], original(self, c)[1] * 3))
+        p = roots.parabolic("A2", [1])
+        for check in (p.weight_multiplicities, p.weyl_dimension):
+            try:
+                check((0, 1))
+            except ConsistencyError:
+                print("ConsistencyError")
+        roots._simple_root_coords = lambda letter, rank: [[1, 0], [1, 2]]
+        try:
+            roots.root_system("G2")
+        except ConsistencyError:
+            print("ConsistencyError")
+    """)
+    src = str(Path(ellgenus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["ConsistencyError"] * 3
