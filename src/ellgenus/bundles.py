@@ -151,11 +151,7 @@ def _weight_sum(base, weights):
 def irreducible_bundle(space, highest_weight):
     """Bundle induced by the irreducible Levi module with the given highest
     weight (fundamental-weight coordinates; crossed nodes may be negative)."""
-    mult = space.parabolic.weight_multiplicities(highest_weight)
-    weights = []
-    for w, m in mult.items():
-        weights.extend([w] * m)
-    return EquivariantVectorBundle(space, weights, [tuple(highest_weight)])
+    return completely_reducible_bundle(space, [highest_weight])
 
 
 def completely_reducible_bundle(space, highest_weights):

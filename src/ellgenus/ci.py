@@ -121,6 +121,14 @@ def complete_intersection(bundle):
     return CompleteIntersection(bundle)
 
 
+def _ambient_and_section(manifold):
+    """The homogeneous space whose fixed points localize the manifold's
+    integrals, and the weights of its section bundle (none for G/P)."""
+    if isinstance(manifold, CompleteIntersection):
+        return manifold.ambient, manifold.bundle.weights
+    return manifold, ()
+
+
 def _fixed_point_sums(space, section, monomials, point):
     """Localization sums at one point, one per monomial: over the fixed
     points w of space, prod_j c_{d_j}(TX)(w) * e(E)(w) / e(TM)(w), with the
@@ -160,10 +168,7 @@ def chern_numbers(manifold, degree_lists, mode="exact", rng=None):
     wanted = [degrees for degrees in lists if sum(degrees) == dim]
     if not wanted:
         return [_F(0)] * len(lists)
-    if isinstance(manifold, CompleteIntersection):
-        space, section = manifold.ambient, manifold.bundle.weights
-    else:
-        space, section = manifold, ()
+    space, section = _ambient_and_section(manifold)
 
     def point_sum(point):
         return _fixed_point_sums(space, section, wanted, point)

@@ -9,11 +9,12 @@ general section.
 
 Exit codes: 0 success, 2 malformed command line, 3 mathematically invalid
 input (odd basis weight, non-dominant bundle weight, negative-dimensional
-intersection, bad degree list), 4 integration failure (no generic
-evaluation point, an unstable float rounding, or the two evaluation points
-of the exact self-check disagreeing), 5 a space with more fixed points
-than roots.MAX_FIXED_POINTS (refused before any enumeration).  Results go
-to stdout; diagnostics to stderr.
+intersection, bad degree list), 4 integration or self-check failure (no
+generic evaluation point, an unstable float rounding, the two evaluation
+points of the exact self-check disagreeing, or another built-in
+consistency check failing, such as uncancelled half-integral q-terms), 5
+a space with more fixed points than roots.MAX_FIXED_POINTS (refused
+before any enumeration).  Results go to stdout; diagnostics to stderr.
 """
 
 from __future__ import annotations

@@ -40,7 +40,8 @@ class ConsistencyError(EllgenusError):
     """A built-in self-check failed: the exact localization sum differed
     between two independent evaluation points, a Cartan matrix entry was
     not an integer, a Freudenthal multiplicity was not a positive integer,
-    or a Weyl dimension was not an integer."""
+    a Weyl dimension was not an integer, or half-integral q-terms of a
+    theta-quotient series failed to cancel."""
 
 
 class TooLarge(EllgenusError):

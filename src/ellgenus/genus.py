@@ -15,12 +15,20 @@ up exactly: log(1 - c e^{sx}) - log(1 - c) expands as
           + (1/m!) sum_{n,j >= 1, nj <= k} j^{m-1} q^{nj}
             (-(-1)^m y^j - y^{-j} + (-1)^m + 1),
 
-with t_m the log-Todd coefficients and L_m(y) = sum_j j^{m-1} y^j, a
-rational function with denominator (1-y)^m.  The product over roots
-becomes exp(sum a_m p_m) in power sums, is rewritten in elementary
-symmetric polynomials (the Chern classes) by Newton's identities, and only
-the weighted-degree-d part survives integration.  G(0)^d clears every
-(1-y) denominator, which is asserted.
+with t_m the log-Todd coefficients and L_m(y) = sum_j j^{m-1} y^j =
+N_m(y)/(1-y)^m.  The product over the roots is G(0)^d exp(sum_m a_m p_m)
+in the power sums p_m, and only its weighted-degree-d part survives
+integration: one term prod_m (a_m p_m)^{e_m}/e_m! per partition
+(e_1, ..., e_d) of d = sum_m m e_m.  Its denominator divides (1-y)^d and
+G(0) carries one factor (1-y), so the series is built with no quotient
+from
+
+    b_m = (1-y)^m a_m,   q^0 term (1-y)^m t_m + (-1)^{m+1} N_m/m!,
+
+as (G(0)/(1-y))^d times the sum over partitions of
+prod_m (b_m p_m)^{e_m}/e_m!, each power-sum monomial rewritten in the
+elementary symmetric polynomials (the Chern classes) by Newton's
+identities.
 
 Factors with n > k contribute only beyond q^k, so the products are
 truncated at n = k.
@@ -33,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .ci import chern_number, chern_numbers
+from .ci import _ambient_and_section, chern_number, chern_numbers
 from .qseries import LaurentY, QYSeries
 from .render import _join, _q_part, _term_body, _y_part
 from .taylor import log_todd_coefficients
@@ -43,123 +51,7 @@ _ONE_MINUS_Y = LaurentY({0: _F(1), 1: _F(-1)})
 
 
 # --------------------------------------------------------------------------
-# rational functions in y with denominator (1-y)^k
-
-
-def _divide_one_minus_y(poly):
-    """Exact quotient poly / (1-y); requires poly(1) = 0."""
-    items = sorted(poly.c.items())
-    low, top = items[0][0], items[-1][0]
-    out = {}
-    running = _F(0)
-    for e in range(low, top):
-        running += poly.c.get(e, _F(0))
-        if running:
-            out[e] = running
-    assert running + poly.c[top] == 0, "not divisible by 1-y"
-    return LaurentY(out)
-
-
-class YFrac:
-    """Laurent polynomial in y divided by a power of (1-y)."""
-
-    __slots__ = ("num", "den_pow")
-
-    def __init__(self, num, den_pow=0):
-        while den_pow > 0 and not num.is_zero() and num.at_one() == 0:
-            num = _divide_one_minus_y(num)
-            den_pow -= 1
-        if num.is_zero():
-            den_pow = 0
-        self.num = num
-        self.den_pow = den_pow
-
-    @classmethod
-    def const(cls, value):
-        return cls(LaurentY.const(value))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        k = max(self.den_pow, other.den_pow)
-        a = self.num * _ONE_MINUS_Y ** (k - self.den_pow) \
-            if k > self.den_pow else self.num
-        b = other.num * _ONE_MINUS_Y ** (k - other.den_pow) \
-            if k > other.den_pow else other.num
-        return YFrac(a + b, k)
-
-    def __neg__(self):
-        return YFrac(-self.num, self.den_pow)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, YFrac):
-            return YFrac(self.num * other.num, self.den_pow + other.den_pow)
-        return YFrac(self.num * other, self.den_pow)
-
-    __rmul__ = __mul__
-
-    def to_laurent(self):
-        assert self.den_pow == 0, "uncancelled (1-y) denominator"
-        return self.num
-
-    def __eq__(self, other):
-        return (isinstance(other, YFrac) and self.den_pow == other.den_pow
-                and self.num == other.num)
-
-    def __repr__(self):
-        return f"YFrac(({self.num})/(1-y)^{self.den_pow})"
-
-
-class _QSeries:
-    """Truncated q-series (integer exponents 0..k) with YFrac coefficients."""
-
-    __slots__ = ("k", "c")
-
-    def __init__(self, k, coeffs=None):
-        self.k = k
-        self.c = {n: v for n, v in (coeffs or {}).items() if not v.is_zero()}
-
-    @classmethod
-    def const(cls, k, value):
-        return cls(k, {0: value if isinstance(value, YFrac) else YFrac.const(value)})
-
-    def is_zero(self):
-        return not self.c
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for n, v in other.c.items():
-            out[n] = out[n] + v if n in out else v
-        return _QSeries(self.k, out)
-
-    def __mul__(self, other):
-        if isinstance(other, _QSeries):
-            out = {}
-            for na, va in self.c.items():
-                for nb, vb in other.c.items():
-                    if na + nb > self.k:
-                        continue
-                    n = na + nb
-                    prod = va * vb
-                    out[n] = out[n] + prod if n in out else prod
-            return _QSeries(self.k, out)
-        return _QSeries(self.k, {n: v * other for n, v in self.c.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        result = _QSeries.const(self.k, _F(1))
-        for _ in range(e):
-            result = result * self
-        return result
-
-
-# --------------------------------------------------------------------------
-# the per-root log coefficients a_m
+# the per-root log coefficients, cleared of (1-y)
 
 
 def _l_numerators(max_m):
@@ -173,36 +65,46 @@ def _l_numerators(max_m):
 
 
 def _log_coefficients(dim, k):
-    """a_1..a_dim as q-series of YFracs."""
+    """b_m = (1-y)^m a_m for m = 1..dim, as QYSeries to q^k."""
     t = log_todd_coefficients(dim)
     lnum = _l_numerators(dim)
     out = {}
     for m in range(1, dim + 1):
         fm = _F(1, factorial(m))
-        q0 = YFrac.const(t[m]) + YFrac(lnum[m] * (fm if m % 2 else -fm), m)
-        terms = {0: q0}
         sign = _F(-1) if m % 2 else _F(1)  # (-1)^m
+        terms = {0: LaurentY.const(t[m])}
         for n in range(1, k + 1):
             for j in range(1, k // n + 1):
                 body = LaurentY({j: -sign, -j: _F(-1), 0: sign + 1})
-                piece = YFrac(body * (fm * j ** (m - 1)))
+                piece = body * (fm * j ** (m - 1))
                 nj = n * j
                 terms[nj] = terms[nj] + piece if nj in terms else piece
-        out[m] = _QSeries(k, terms)
+        out[m] = (QYSeries.from_q_dict(k, terms) * _ONE_MINUS_Y ** m
+                  + lnum[m] * (-sign * fm))
     return out
 
 
 def _g0_power(dim, k):
-    """G(0)^dim as a q-series of YFracs: ((1-y) prod_{n<=k}
+    """(G(0)/(1-y))^dim as a QYSeries to q^k: (prod_{n<=k}
     (1-yq^n)(1-y^{-1}q^n)/(1-q^n)^2)^dim."""
-    base = _QSeries.const(k, YFrac(_ONE_MINUS_Y))
+    base = QYSeries.one(2 * k)
     for n in range(1, k + 1):
         for unit in (LaurentY.y_pow(1), LaurentY.y_pow(-1)):
-            base = base * _QSeries(k, {0: YFrac.const(1), n: YFrac(-unit)})
-        inv = {nj: YFrac.const(j + 1)
-               for j in range(k // n + 1) if (nj := n * j) <= k}
-        base = base * _QSeries(k, inv)
+            base = base * QYSeries.from_q_dict(k, {0: 1, n: -unit})
+        base = base * QYSeries.from_q_dict(
+            k, {n * j: j + 1 for j in range(k // n + 1)})
     return base ** dim
+
+
+def _partitions(total, largest):
+    """Partitions of total into parts <= largest, as multiplicity tuples
+    (e_1, ..., e_largest) with sum m e_m = total."""
+    if largest == 1:
+        yield (total,)
+        return
+    for e in range(total // largest + 1):
+        for head in _partitions(total - largest * e, largest - 1):
+            yield head + (e,)
 
 
 # --------------------------------------------------------------------------
@@ -353,43 +255,29 @@ def elliptic_genus_chernnum(dim, k):
         raise ValueError("dimension must be at least 1")
     if k < 0:
         raise ValueError("q-order must be nonnegative")
-    a = _log_coefficients(dim, k)
+    b = _log_coefficients(dim, k)
     zero = tuple(0 for _ in range(dim))
-    # exp(sum_m a_m p_m), capped at weighted degree dim
-    log_poly = {}
-    for m, series in a.items():
-        e = tuple(1 if j == m - 1 else 0 for j in range(dim))
-        log_poly[e] = series
-    expo = {zero: _QSeries.const(k, _F(1))}
-    term = {zero: _QSeries.const(k, _F(1))}
-    for j in range(1, dim + 1):
-        term = _poly_mul(term, log_poly, dim)
-        term = {e: s * _F(1, j) for e, s in term.items()}
-        if not term:
-            break
-        for e, s in term.items():
-            expo[e] = expo[e] + s if e in expo else s
-    # rewrite power-sum monomials in elementary symmetric polynomials
+    # the weighted-degree-dim part of exp(sum_m b_m p_m), one term
+    # prod_m (b_m p_m)^{e_m}/e_m! per partition, in elementary symmetric
+    # polynomials
     in_e = {}
-    for pexp, series in expo.items():
-        if _weighted(pexp) != dim:
-            continue  # below-degree terms integrate to zero
+    for partition in _partitions(dim, dim):
+        series = QYSeries.one(2 * k)
         conv = {zero: _F(1)}
-        for m, e in enumerate(pexp, start=1):
+        for m, e in enumerate(partition, start=1):
+            if not e:
+                continue
+            series = series * b[m] ** e * _F(1, factorial(e))
             for _ in range(e):
                 conv = _poly_mul(conv, power_sum_in_elementary(m, dim), dim)
         for emon, coeff in conv.items():
-            if emon in in_e:
-                in_e[emon] = in_e[emon] + series * coeff
-            else:
-                in_e[emon] = series * coeff
+            term = series * coeff
+            in_e[emon] = in_e[emon] + term if emon in in_e else term
     g0d = _g0_power(dim, k)
     terms = {}
     for emon, series in in_e.items():
-        assert _weighted(emon) == dim
-        full = series * g0d
-        for q, yfrac in full.c.items():
-            terms.setdefault(q, {})[emon] = yfrac.to_laurent()
+        for q2, ly in (series * g0d).c.items():
+            terms.setdefault(q2 // 2, {})[emon] = ly
     return ChernSymbolSeries(dim, k, terms)
 
 
@@ -402,6 +290,9 @@ def elliptic_genus(manifold, k, mode="exact", rng=None):
     if dim == 0:
         points = chern_number(manifold, [], mode=mode, rng=rng)
         return QYSeries.const(points, 2 * k)
+    # the fixed-point guard (TooLarge) runs before the universal series,
+    # whose p(dim) Chern monomials would otherwise be built first
+    _ambient_and_section(manifold)[0].parabolic.coset_representatives()
     universal = elliptic_genus_chernnum(dim, k)
     monomials = universal.monomials()
     degree_lists = [[m for m, e in enumerate(emon, start=1) for _ in range(e)]

@@ -25,10 +25,8 @@ from fractions import Fraction
 from math import prod
 
 from . import bundles
-from .cohomology import CohomologyClass
 from .errors import ConsistencyError, DegeneratePoint, FloatUnstable
 from .roots import ParabolicSubgroup
-from .taylor import todd_coefficients
 
 _F = Fraction
 _POINT_BOUND = 10 ** 6
@@ -185,18 +183,3 @@ def homogeneous_space(spec, crossed):
     """HomogeneousSpace from a type spec like 'A4' and crossed nodes."""
     from .roots import parabolic
     return HomogeneousSpace(parabolic(spec, crossed))
-
-
-def todd_polynomial_factor(linear, dim):
-    """The Todd factor x/(1-e^{-x}) of one Chern root, truncated to dim."""
-    coeffs = todd_coefficients(dim)
-    n = linear.n
-    total = CohomologyClass.constant(n, coeffs[0])
-    power = CohomologyClass.one(n)
-    for k in range(1, dim + 1):
-        power = power.times(linear, dim)
-        if power.is_zero():
-            break
-        if coeffs[k]:
-            total = total + power * coeffs[k]
-    return total

@@ -27,7 +27,7 @@ def phi_0_1(prec):
 
     Its q^0 coefficient is y^-1 + 10 + y.  Half-integral q-terms of the
     theta_3 and theta_4 ratios must cancel in the sum; that cancellation
-    is asserted.
+    is checked (ConsistencyError otherwise).
     """
     t2, t3, t4 = theta(2, prec), theta(3, prec), theta(4, prec)
     assert t2.q_eighths == 1 and t3.q_eighths == 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByNonUnit, PrecisionZero
+from .errors import ConsistencyError, DivisionByNonUnit, PrecisionZero
 from .render import format_laurent, format_series
 
 _ZERO = Fraction(0)
@@ -405,10 +405,11 @@ class QYSeries:
         return out
 
     def assert_integral_q(self):
-        """Check odd doubled exponents vanished and drop the half_q flag."""
+        """Check odd doubled exponents vanished and drop the half_q flag;
+        ConsistencyError when some survived."""
         bad = [k for k in self.c if k % 2]
         if bad:
-            raise AssertionError(f"half-integral q-terms survived at doubled keys {bad}")
+            raise ConsistencyError(f"half-integral q-terms survived at doubled keys {bad}")
         out = QYSeries.__new__(QYSeries)
         out.prec2, out.half_q = self.prec2, False
         out.c = dict(self.c)

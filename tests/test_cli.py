@@ -226,6 +226,19 @@ def test_too_many_fixed_points_exits_5(no_walk):
     assert "696729600" in err
 
 
+@pytest.mark.parametrize("argv,count", [
+    (["genus", "--space", E8_FLAG, "--order", "0"], "696729600"),
+    (["chi-y", "--space", "E7[1,2,3,4,5,6,7]"], "2903040"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_genus_refuses_huge_space_before_universal_series(argv, count, no_walk):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 5
+    assert out == ""
+    assert count in err
+
+
 def test_float_mode_with_seed_is_deterministic():
     argv = ["chern", "--space", "A4[3]", "--degrees", "1,1,1,1,1,1",
             "--mode", "float", "--seed", "7"]

@@ -1,6 +1,7 @@
 """Elliptic genus: frozen listings, an independent sheaf-theoretic oracle,
 and the structural identities expected of weak Jacobi forms."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -99,6 +100,80 @@ def test_chernnum_dim2_chi_y_row():
         {0: Fraction(1, 12), 1: Fraction(-1, 6), 2: Fraction(1, 12)})
     assert g.coefficient(0, (0, 1)) == LaurentY(
         {0: Fraction(1, 12), 1: Fraction(5, 6), 2: Fraction(1, 12)})
+
+
+# sha256 of str(elliptic_genus_chernnum(d, k)) as printed by the earlier
+# construction through rational functions over (1-y)^k: every d <= 10 and
+# k <= 6 with d + 2k <= 16, plus (12, 0), (12, 1) and (14, 0).
+CHERNNUM_DIGESTS = {
+    (1, 0): "23c0b47bb8106c3280ae4b0b683dbe000cff414a4eb44022acdc60c601aec106",
+    (1, 1): "4da57b8e8a288abc011bcb0ad9c4be5f78b9332abbae04a22441a796f60d34ab",
+    (1, 2): "209caf69783c2fb4b5bd54be489d803928e0c9c16b6541badfd185fe09d91738",
+    (1, 3): "1a7f5b7f3f535798d5d928bc23f172c4b5351a4e88ff95aceef45690d752e205",
+    (1, 4): "fb2c95348dff0832e1729358426f65dc073677ffb3d27f2c1c375d2159e49ad8",
+    (1, 5): "5ad442aa718f74a73cc066cfdde18db68b95c809a42fa04d2b8c912420508162",
+    (1, 6): "468b1b2a068d753cf60dbf0c20b6ed687dc6a86aa8d1b4cf2632aff72870ea19",
+    (2, 0): "2da72290fe0ef45dab2dd488bca3dc56554e2b46d7a82f618886b728c2c60004",
+    (2, 1): "9460453537cddfb238afa47bfacd7ef0d461dfca0973384ef9e390516e6aa6b2",
+    (2, 2): "4f8ed2325f929d56bbca35cad35892d338b0e84bc2e0c2594283b63b8a98c3e6",
+    (2, 3): "08b254229348971f9a58d49892efdc3aaf3b2c39e64c3f2c30fe03f8d263dee5",
+    (2, 4): "282f6a7962ebd6dff0662d8411ffec3b32d9590bc196e1ff1683e27c3a515d90",
+    (2, 5): "beb8312090b495348809a612e554b84df738b97a2275055a415e032f055413bd",
+    (2, 6): "2098b71418812ea9a456f2eb44fd0631fa4663230df513a172210db288d02fbd",
+    (3, 0): "ff65b51ae0326a468126329ab693c5d0ba0f16ad78c2e6ee44d31ceabfd2ba75",
+    (3, 1): "82bc90a041720f9de7cc2acd0f082e921d944666c875dda6454de577aef59b00",
+    (3, 2): "a3605547cb679b4fcb24a392e2d1e987b3b7a8fc01a86cd1219cebb8e730b735",
+    (3, 3): "62089740247782ccfe21eb13d141b9576d1117fe5488dec0f0181c1e83360e20",
+    (3, 4): "b4d86b0914dbbb7310fafe371bd2e79d45cb5b6225087789c0661171bbaa9a22",
+    (3, 5): "dcd288ed88d219c0053e642ac81cdadb1b75afda42c7c9827745d82d0cf22487",
+    (3, 6): "ca513d05750e1a8854fcd0f9befe4c7c600cb3e9d4f7bf3ef0c4d196c5def23b",
+    (4, 0): "b90b0cee209ec2462af93a43d1b867e8871145bde32fb03a6b56867c1b9ccded",
+    (4, 1): "4372dea8f85879d3c52500b796564e04a5a0e55e746657ed392a400730bb6baa",
+    (4, 2): "30fd135cc8daf135bc4ca637887ae505e0cfb8ad9bf570aaa639e1f6bf01d0e5",
+    (4, 3): "d31a2327b54491a9d9caf7dba48bf554d2abe2a5c2b03d61485d51ac0d0c4afd",
+    (4, 4): "9f7ce8f4e19c11ecd06f7087f02b515b43fe58d19d33c19576b55797743405f0",
+    (4, 5): "0ec02e1b8f18a550c1a39019b4a4f04e50af398b63e943ea9f5071a9f4c45faa",
+    (4, 6): "23cc31ce4f4875c2b751bc0b467ff4995eed71be46489a6b879b691436fe6688",
+    (5, 0): "32268a05113788c9e6f1d3a4bde1a4e0c69189f4aa0d251d3bafc3b1dde1e6ae",
+    (5, 1): "b0a6635a6eb1cee4f4ae73fe8c6f03019e7a58d3963275d0ed7d374316a91d76",
+    (5, 2): "5690b8d0ab8f3a7691f1132ecbe92f3177c6bbe915f5ea5ae5570adbc374689d",
+    (5, 3): "9d76af104efa6281a6da50cac044fecabfe2dee99e6ecb67408bfa205c57a198",
+    (5, 4): "30c981dfc07ed507d1df3baca48caaf18b49bf0b3dae83e72fc4cccd139d1618",
+    (5, 5): "8280436f40337375ae98fe425015b8e24ce003d75352b6444d2d348d4b6d873d",
+    (6, 0): "88bd1f339752602f520ee0ae2540a2daabe9f8dfd70d14f9ac66250e5e3870e6",
+    (6, 1): "ad1ea1f33de76b794a8653e89d70273dbb0aa054e364d61b8086c28d55f2e10f",
+    (6, 2): "1d8a2e2b9df9113cfc75b400336e4ef322072d7aa300173521607e2fdff27e37",
+    (6, 3): "ba44de2559fc689632c661ec63a71985ee6c17fdfcfc194702c4333909bdb041",
+    (6, 4): "9e170c200352f34b2dbd5d4c0ca6731df26953d5765ecd8a657cf35a753880b1",
+    (6, 5): "5dda1ebbf222fd2e94588eb4aa3d7dabac82e8956a5e4e075be663220786970b",
+    (7, 0): "cfdcff1ec020539040a72d965084ee54b8f8d3b22830f9725f818f4ddfd5ad6b",
+    (7, 1): "30ac19b6775488cb9e95e67466dbe3c7b1651276934261bdd89e617434899171",
+    (7, 2): "0a46642688fb4b4f56b60025cc06f9e4a88bf9d9947cc8aa7ca5a42580d8c10c",
+    (7, 3): "32c20f12f7295f2f2b5383b12c797b1ad789633b148e388d46f00801128f4abd",
+    (7, 4): "4e4619182d4897174852c45426ef453b4d4cf7f33a514c9e210bf2131cc4fef0",
+    (8, 0): "6c08fdad6c5f44a04e09dc006fb5dc618f746e78528342a27faa3cd9b6012bbd",
+    (8, 1): "871ce2c45c466e712be280a657fded2d5fcb31624646fcc50a4264f5f446be75",
+    (8, 2): "17627beac12393697c7b2faefbaeccd355c6fa08e619efd04a8684982cae960d",
+    (8, 3): "7f7c859a07a118d0daeba95e2c960bb6622a855a72d7531fa01bb57e7d8c657f",
+    (8, 4): "cb8951077504002aebd97ff7a34e80191fa113314d7b09ab830c66c1cfc65b23",
+    (9, 0): "45b3def8dc49f8736b4e14f0b68c9fb4142482dfccdbb8d7fe58e09546c6ec97",
+    (9, 1): "250f2a6030577d03dbbadbadd1f366637ae861b24206ccb3e79918b1ac8a4936",
+    (9, 2): "fb4e415ce60eb15050a4a6243de33ec033e91bcffebbbea0bc93646a1e20e75f",
+    (9, 3): "1f8cf006d115e5377d1cb0f01913caab25ec382eeba5df5ed20332b93717f156",
+    (10, 0): "7aaf4ef9c7ebaa5d39e530dff6c56a48cedd975d4341cdcff6a27b3cd29704fd",
+    (10, 1): "b4c10b16b35c12b15a5f6158e72afaeb9d400a6b3827dd2e9dfe3e53bcb645b4",
+    (10, 2): "e4a75973902b126df29cc747c90db13d9ce89ef4b77367dffafbfbd7ccafee7f",
+    (10, 3): "0ff9d39b00fa7dbee89bc4069ead2e4221908481e268f4d4875169343f80052b",
+    (12, 0): "029e36584579dd4e02fe31812657fc0237e8fde0477a20c93a8919ba636947c6",
+    (12, 1): "962985ccc3dbaea1adad4052f560566fb055415e13fc94b74c4de1e27101c567",
+    (14, 0): "4f97a9fdca30ccd8f53ae98d615035dc245431ea5e80ca55eadc5a6def7c054d",
+}
+
+
+@pytest.mark.parametrize("dim,k", sorted(CHERNNUM_DIGESTS))
+def test_chernnum_listing_digests(dim, k):
+    text = str(elliptic_genus_chernnum(dim, k))
+    assert hashlib.sha256(text.encode()).hexdigest() == CHERNNUM_DIGESTS[dim, k]
 
 
 def test_chernnum_validation():

@@ -7,8 +7,7 @@ import pytest
 
 from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import DegeneratePoint
-from ellgenus.homog import (HomogeneousSpace, homogeneous_space,
-                            todd_polynomial_factor)
+from ellgenus.homog import HomogeneousSpace, homogeneous_space
 from ellgenus.roots import Weight, parabolic
 
 GR35_C2 = ("x0^2 + 4*x0*x1 + x1^2 + 4*x0*x2 + 4*x1*x2 + x2^2 - 5*x0*x3 "
@@ -126,13 +125,3 @@ def test_tangent_weights_are_nilradical_roots():
     assert space.tangent_weights == tuple(p.nilradical_roots) or \
         list(space.tangent_weights) == list(p.nilradical_roots)
     assert len(space.tangent_weights) == space.dimension()
-
-
-def test_todd_polynomial_factor_expansion():
-    x = CohomologyClass.linear_form(Weight([1, 0, 0, 0, 0]))
-    factor = todd_polynomial_factor(x, 4)
-    # x/(1 - e^{-x}) = 1 + x/2 + x^2/12 - x^4/720 + ...
-    expected = (CohomologyClass.one(5) + x * Fraction(1, 2)
-                + x.power(2) * Fraction(1, 12)
-                + x.power(4) * Fraction(-1, 720))
-    assert factor.truncate(4) == expected.truncate(4)

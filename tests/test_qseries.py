@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ellgenus.qseries
 import ellgenus.taylor
-from ellgenus.errors import DivisionByNonUnit, PrecisionZero
+from ellgenus.errors import ConsistencyError, DivisionByNonUnit, PrecisionZero
 from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product, theta
 
 PREC = 24
@@ -223,6 +223,15 @@ def test_constructor_validation():
         theta(1, -1)
     with pytest.raises(ValueError):
         theta(1, 3, y_scale=0)
+
+
+def test_surviving_half_integral_terms_raise_consistency_error():
+    half = QYSeries(6, {0: LaurentY.const(1), 2: LaurentY.const(2)}, half_q=True)
+    assert half.assert_integral_q() == QYSeries(6, {0: LaurentY.const(1),
+                                                    2: LaurentY.const(2)})
+    odd = QYSeries(6, {0: LaurentY.const(1), 3: LaurentY.y_pow(1)}, half_q=True)
+    with pytest.raises(ConsistencyError, match=r"\[3\]"):
+        odd.assert_integral_q()
 
 
 def test_truncate_and_equality_respect_precision():
