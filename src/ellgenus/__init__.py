@@ -21,7 +21,7 @@ from .genus import (ChernSymbolSeries, chi_y, elliptic_genus,
 from .homog import HomogeneousSpace, homogeneous_space
 from .jacobi import (JacobiBasisElement, basis_half_integral, basis_integral,
                      linear_fit, phi_0_1, phi_0_3half, phi_m2_1)
-from .qseries import LaurentY, QYSeries, eisenstein, eta_product, theta
+from .qseries import LaurentY, QYSeries, eisenstein, eta_product
 from .roots import (ParabolicSubgroup, RootSystem, Weight, WeylElement,
                     min_coset_reps, parabolic, root_system, weyl_elements,
                     weyl_orbit)
@@ -40,6 +40,6 @@ __all__ = [
     "complete_intersection", "completely_reducible_bundle", "eisenstein",
     "elliptic_genus", "elliptic_genus_chernnum", "eta_product",
     "homogeneous_space", "irreducible_bundle", "linear_fit", "min_coset_reps",
-    "parabolic", "phi_0_1", "phi_0_3half", "phi_m2_1", "root_system", "theta",
+    "parabolic", "phi_0_1", "phi_0_3half", "phi_m2_1", "root_system",
     "weyl_elements", "weyl_orbit",
 ]

@@ -12,9 +12,10 @@ input (odd basis weight, non-dominant bundle weight, negative-dimensional
 intersection, bad degree list), 4 integration or self-check failure (no
 generic evaluation point, an unstable float rounding, the two evaluation
 points of the exact self-check disagreeing, or another built-in
-consistency check failing, such as uncancelled half-integral q-terms), 5
-a space with more fixed points than roots.MAX_FIXED_POINTS (refused
-before any enumeration).  Results go to stdout; diagnostics to stderr.
+consistency check failing), 5 a space with more fixed points than
+roots.MAX_FIXED_POINTS or of a dimension whose universal elliptic genus
+has more Chern monomials than roots.MAX_CHERN_MONOMIALS (refused before
+any enumeration).  Results go to stdout; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -199,7 +200,8 @@ def _build_manifold(job):
 
 
 def _payload(job, rng):
-    """Compute the job's result as a JSON-ready dict."""
+    """Compute the job's result as a JSON-ready dict; SpecError for a
+    command with no handler."""
     if job.command == "basis":
         elements = basis_half_integral(job.weight, job.double_index, job.prec)
         return {"weight": job.weight, "double_index": job.double_index,
@@ -212,7 +214,8 @@ def _payload(job, rng):
         return {"diagram": p.dynkin_ascii(),
                 "dimension": space.dimension(),
                 "fixed_points": space.fixed_point_count()}
-    manifold = _build_manifold(job)
+    if job.command in ("chern", "genus", "chi-y"):
+        manifold = _build_manifold(job)
     if job.command == "chern":
         value = chern_number(manifold, list(job.degrees), mode=job.mode, rng=rng)
         return {"value": str(value)}
@@ -222,11 +225,12 @@ def _payload(job, rng):
                 "y_half_power": manifold.dimension(),
                 "terms": series_payload(_series_terms(series), job.order),
                 "order": job.order}
-    assert job.command == "chi-y"
-    value = chi_y(manifold, mode=job.mode, rng=rng)
-    return {"dimension": manifold.dimension(),
-            "y_half_power": manifold.dimension(),
-            "coeffs": laurent_payload(sorted(value.c.items()))}
+    if job.command == "chi-y":
+        value = chi_y(manifold, mode=job.mode, rng=rng)
+        return {"dimension": manifold.dimension(),
+                "y_half_power": manifold.dimension(),
+                "coeffs": laurent_payload(sorted(value.c.items()))}
+    raise SpecError(f"unknown command {job.command!r}")
 
 
 def render_payload(payload):

@@ -40,13 +40,13 @@ class ConsistencyError(EllgenusError):
     """A built-in self-check failed: the exact localization sum differed
     between two independent evaluation points, a Cartan matrix entry was
     not an integer, a Freudenthal multiplicity was not a positive integer,
-    a Weyl dimension was not an integer, or half-integral q-terms of a
-    theta-quotient series failed to cancel."""
+    or a Weyl dimension was not an integer."""
 
 
 class TooLarge(EllgenusError):
     """The request would enumerate more fixed points than
-    roots.MAX_FIXED_POINTS."""
+    roots.MAX_FIXED_POINTS, or build a universal elliptic genus over more
+    Chern monomials than roots.MAX_CHERN_MONOMIALS."""
 
 
 class FloatUnstable(EllgenusError):

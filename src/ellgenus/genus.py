@@ -42,8 +42,10 @@ from functools import lru_cache
 from math import factorial
 
 from .ci import _ambient_and_section, chern_number, chern_numbers
+from .errors import TooLarge
 from .qseries import LaurentY, QYSeries
 from .render import _join, _q_part, _term_body, _y_part
+from .roots import MAX_CHERN_MONOMIALS
 from .taylor import log_todd_coefficients
 
 _F = Fraction
@@ -107,6 +109,17 @@ def _partitions(total, largest):
             yield head + (e,)
 
 
+def _partition_count(n):
+    """p(n), by Euler's pentagonal-number recurrence
+    p(m) = sum_{j>=1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)),
+    without listing the partitions."""
+    p = [1]
+    for m in range(1, n + 1):
+        p.append(sum((1 if j % 2 else -1) * p[m - g] for j in range(1, m + 1)
+                     for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= m))
+    return p[n]
+
+
 # --------------------------------------------------------------------------
 # symmetric-function bookkeeping: polynomials in p_1..p_d or e_1..e_d are
 # dicts mapping exponent tuples (length d, weighted degree <= d) to values
@@ -140,23 +153,6 @@ def power_sum_in_elementary(m, dim):
     for i in range(1, m):
         rec = power_sum_in_elementary(m - i, dim)
         sign = _F((-1) ** (i - 1))
-        for e, c in _poly_mul({unit(i): sign}, rec, dim).items():
-            total[e] = total.get(e, _F(0)) + c
-    return {e: c for e, c in total.items() if c}
-
-
-def elementary_in_power_sums(m, dim):
-    """e_m in terms of p_1..p_dim, the inverse Newton recurrence
-    e_m = (1/m) sum_{i=1}^m (-1)^{i-1} e_{m-i} p_i (for property tests)."""
-    if m == 0:
-        return {tuple(0 for _ in range(dim)): _F(1)}
-    if not 1 <= m <= dim:
-        raise ValueError("elementary index out of range")
-    unit = lambda i: tuple(1 if j == i - 1 else 0 for j in range(dim))
-    total = {}
-    for i in range(1, m + 1):
-        rec = elementary_in_power_sums(m - i, dim)
-        sign = _F((-1) ** (i - 1), m)
         for e, c in _poly_mul({unit(i): sign}, rec, dim).items():
             total[e] = total.get(e, _F(0)) + c
     return {e: c for e, c in total.items() if c}
@@ -250,11 +246,17 @@ def _chern_body(exponents):
 @lru_cache(maxsize=None)
 def elliptic_genus_chernnum(dim, k):
     """Universal elliptic genus of a dim-fold to q-order k, as Chern
-    monomials; multiplied by y^{dim/2} so y-exponents are integers."""
+    monomials; multiplied by y^{dim/2} so y-exponents are integers.
+    TooLarge, before any work, past MAX_CHERN_MONOMIALS monomials."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if k < 0:
         raise ValueError("q-order must be nonnegative")
+    count = _partition_count(dim)
+    if count > MAX_CHERN_MONOMIALS:
+        raise TooLarge(f"a {dim}-fold's universal elliptic genus has {count} "
+                       f"Chern monomials, more than the limit of "
+                       f"{MAX_CHERN_MONOMIALS}")
     b = _log_coefficients(dim, k)
     zero = tuple(0 for _ in range(dim))
     # the weighted-degree-dim part of exp(sum_m b_m p_m), one term
@@ -290,9 +292,9 @@ def elliptic_genus(manifold, k, mode="exact", rng=None):
     if dim == 0:
         points = chern_number(manifold, [], mode=mode, rng=rng)
         return QYSeries.const(points, 2 * k)
-    # the fixed-point guard (TooLarge) runs before the universal series,
-    # whose p(dim) Chern monomials would otherwise be built first
-    _ambient_and_section(manifold)[0].parabolic.coset_representatives()
+    # the fixed-point guard runs first and without walking; the universal
+    # series then checks its own size, both before any work
+    _ambient_and_section(manifold)[0].parabolic.check_fixed_point_count()
     universal = elliptic_genus_chernnum(dim, k)
     monomials = universal.monomials()
     degree_lists = [[m for m, e in enumerate(emon, start=1) for _ in range(e)]

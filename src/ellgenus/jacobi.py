@@ -1,10 +1,16 @@
 """Weak Jacobi forms of even weight and integral or half-integral index.
 
-Generators over the ring of modular forms:
+Generators over the ring of modular forms, each built from integral
+products (Eichler-Zagier, *The Theory of Jacobi Forms*, Thm 9.3), with
+P = prod_n (1 - q^n y)^2 (1 - q^n y^-1)^2 / (1 - q^n)^4:
 
-* ``phi_0_1``   weight  0, index 1
-* ``phi_m2_1``  weight -2, index 1
-* ``phi_0_3half`` weight 0, index 3/2, returned times its y^{1/2} prefactor
+* ``phi_m2_1``  weight -2, index 1:  (y - 2 + y^-1) P
+* ``phi_0_1``   weight  0, index 1:  phi_m2_1 (1 + 12 S) + 12 P, with
+  S = sum_n sum_{d|n} d (y^d - 2 + y^-d) q^n
+* ``phi_0_3half`` weight 0, index 3/2, returned times its y^{1/2} prefactor:
+  (1 + y) prod_n (1 - q^n y^2)(1 - q^n y^-2) / ((1 - q^n y)(1 - q^n y^-1))
+
+No half-integral power of q occurs in any of them.
 
 Bases are monomials E4^a E6^b phi_0_1^c phi_m2_1^d with
 4a + 6b - 2d = weight and c + d = index, with the extra phi_0_3half factor
@@ -18,56 +24,70 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OddWeight
-from .qseries import LaurentY, QYSeries, eisenstein, eta_product, theta
+from .qseries import LaurentY, QYSeries, eisenstein
+
+# (s, e): the factor (1 - q^n y^s)^e for every n >= 1
+_P_FACTORS = ((1, 2), (-1, 2), (0, -4))
+_HALF_FACTORS = ((2, 1), (-2, 1), (1, -1), (-1, -1))
+_Y_MINUS_2 = LaurentY({-1: 1, 0: -2, 1: 1})  # y - 2 + y^-1
+
+
+def _product_series(rows, factors):
+    """QYSeries of rows (row k: the LaurentY coefficient of q^k) times
+    prod_{n>=1} prod_{(s, e) in factors} (1 - q^n y^s)^e, truncated after
+    q^(len(rows) - 1).
+
+    Each factor is applied in place: multiplying by (1 - q^n y^s) is the
+    descending pass row[k] -= y^s row[k-n], dividing by it the ascending
+    pass row[k] += y^s row[k-n].
+    """
+    prec = len(rows) - 1
+    for n in range(1, prec + 1):
+        for s, e in factors:
+            ks = range(prec, n - 1, -1) if e > 0 else range(n, prec + 1)
+            for _ in range(abs(e)):
+                for k in ks:
+                    step = rows[k - n].shift(s)
+                    rows[k] = rows[k] - step if e > 0 else rows[k] + step
+    return QYSeries(2 * prec, {2 * k: row for k, row in enumerate(rows)})
+
+
+def _rows(q0, prec):
+    """q-rows 0..prec of the series q0 + O(q^(prec+1))."""
+    return [q0] + [LaurentY() for _ in range(prec)]
 
 
 @lru_cache(maxsize=None)
 def phi_0_1(prec):
-    """The weight 0, index 1 generator, 4 sum of squared theta ratios.
+    """The weight 0, index 1 generator, (y - 2 + y^-1)(1 + 12 S) P + 12 P.
 
-    Its q^0 coefficient is y^-1 + 10 + y.  Half-integral q-terms of the
-    theta_3 and theta_4 ratios must cancel in the sum; that cancellation
-    is checked (ConsistencyError otherwise).
+    Its q^0 coefficient is y^-1 + 10 + y.
     """
-    t2, t3, t4 = theta(2, prec), theta(3, prec), theta(4, prec)
-    assert t2.q_eighths == 1 and t3.q_eighths == 0
-    # theta2 ratio squared carries ((y+1)^2/y)/4 = (y + 2 + 1/y)/4 from the
-    # y-prefactors; theta2(q,1) contributes the scalar 2 = y_num at y=1.
-    r2 = t2.series / t2.series.specialize_y1()
-    pref = LaurentY({1: Fraction(1, 4), 0: Fraction(1, 2), -1: Fraction(1, 4)})
-    s = r2 * r2 * pref
-    for t in (t3, t4):
-        r = t.series / t.series.specialize_y1()
-        s = s + r * r
-    return (s * 4).assert_integral_q()
+    rows = _rows(LaurentY({-1: 1, 0: 10, 1: 1}), prec)
+    for n in range(1, prec + 1):
+        # row n of (y - 2 + y^-1)(1 + 12 S) is 12 S_n (y - 2 + y^-1)
+        s_n = LaurentY()
+        for d in range(1, n + 1):
+            if n % d == 0:
+                s_n = s_n + LaurentY({d: d, 0: -2 * d, -d: d})
+        rows[n] = s_n * _Y_MINUS_2 * 12
+    return _product_series(rows, _P_FACTORS)
 
 
 @lru_cache(maxsize=None)
 def phi_m2_1(prec):
-    """The weight -2, index 1 generator, -theta_1(q,y)^2 / eta(q)^6.
+    """The weight -2, index 1 generator, (y - 2 + y^-1) P.
 
-    q^0 coefficient y^-1 - 2 + y.  The q^{1/4} prefactors of numerator and
-    denominator cancel exactly; the i^6 = -1 of theta_1^2 cancels the
-    leading minus sign.
+    Its q^0 coefficient is y^-1 - 2 + y.
     """
-    t1 = theta(1, prec)
-    assert Fraction(2 * t1.q_eighths, 8) == Fraction(6, 24)
-    assert t1.i_power == 3
-    pref = (t1.y_num * t1.y_num).shift(-t1.y_half)
-    return (t1.series * t1.series * pref) / (eta_product(prec) ** 6)
+    return _product_series(_rows(_Y_MINUS_2, prec), _P_FACTORS)
 
 
 @lru_cache(maxsize=None)
 def phi_0_3half(prec):
-    """y^{1/2} times the weight 0, index 3/2 generator theta_1(q,y^2)/theta_1(q,y).
-
-    The y^{1/2} multiple makes the result an honest Laurent series; its
-    q^0 coefficient is 1 + y.
-    """
-    ta, tb = theta(1, prec, y_scale=2), theta(1, prec, 1)
-    assert ta.q_eighths == tb.q_eighths and ta.i_power == tb.i_power
-    # prefactor ratio: y^{-1}(y^2-1) / (y^{-1/2}(y-1)) * y^{1/2} = 1 + y
-    return (ta.series / tb.series) * LaurentY({0: 1, 1: 1})
+    """y^{1/2} times the weight 0, index 3/2 generator, an honest Laurent
+    series in y; its q^0 coefficient is 1 + y."""
+    return _product_series(_rows(LaurentY({0: 1, 1: 1}), prec), _HALF_FACTORS)
 
 
 @dataclass(frozen=True)
@@ -85,9 +105,13 @@ class JacobiBasisElement:
     series: QYSeries
 
     def __post_init__(self):
-        assert 4 * self.e4 + 6 * self.e6 - 2 * self.phim21 == self.weight
+        weight = 4 * self.e4 + 6 * self.e6 - 2 * self.phim21
+        if weight != self.weight:
+            raise ValueError(f"monomial has weight {weight}, not {self.weight}")
         ix2 = 2 * (self.phi01 + self.phim21) + (3 if self.half_factor else 0)
-        assert ix2 == self.double_index
+        if ix2 != self.double_index:
+            raise ValueError(f"monomial has double index {ix2}, "
+                             f"not {self.double_index}")
 
     def label(self):
         parts = []
@@ -213,7 +237,7 @@ def linear_fit(target, elements):
         if row[-1]:
             return None
     # verify, which also catches free columns that were genuinely needed
-    acc = QYSeries.zero(prec2, target.half_q)
+    acc = QYSeries.zero(prec2)
     for c, el in zip(sol, elements):
         acc = acc + el.truncate(prec2) * c
     return sol if acc == target.truncate(prec2) else None

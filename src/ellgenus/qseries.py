@@ -1,14 +1,11 @@
 """Exact truncated q-series whose coefficients are Laurent polynomials in y.
 
-q-exponents are stored doubled, so the half-integral powers appearing in
-theta expansions stay integral: the key k carries the coefficient of
-q^(k/2).  A series remembers its precision (the largest retained doubled
-exponent) and a flag saying whether odd doubled exponents may occur.
-Arithmetic truncates to the smaller operand precision.
-
-Fractional global prefactors of the classical products (q^{1/8}, q^{1/24}
-and y^{1/2}) are never folded into a series; :func:`theta` reports them as
-explicit tags next to the root-free product expansion.
+Every q-exponent is an integer.  Keys are still doubled, the key k
+carrying the coefficient of q^(k/2), because ``QYSeries(prec2, coeffs)``
+with doubled keys is the public constructor form that callers build
+series with; odd keys are rejected.  A series remembers its precision
+(the largest retained doubled exponent).  Arithmetic truncates to the
+smaller operand precision.
 
 >>> one = LaurentY.const(1)
 >>> s = QYSeries(6, {0: one, 2: -one})        # 1 - q at precision q^3
@@ -18,14 +15,12 @@ explicit tags next to the root-free product expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, DivisionByNonUnit, PrecisionZero
+from .errors import DivisionByNonUnit, PrecisionZero
 from .render import format_laurent, format_series
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LaurentY:
@@ -183,17 +178,15 @@ def _laurent_one():
 class QYSeries:
     """Series in q truncated at doubled exponent ``prec2``.
 
-    ``c`` maps doubled q-exponents to LaurentY coefficients; ``half_q``
-    says whether odd doubled exponents may be populated.
+    ``c`` maps even doubled q-exponents to LaurentY coefficients.
     """
 
-    __slots__ = ("prec2", "c", "half_q")
+    __slots__ = ("prec2", "c")
 
-    def __init__(self, prec2, coeffs=None, half_q=False):
+    def __init__(self, prec2, coeffs=None):
         if prec2 < 0:
             raise ValueError("precision must be nonnegative")
         self.prec2 = int(prec2)
-        self.half_q = bool(half_q)
         c = {}
         if coeffs:
             for k, v in coeffs.items():
@@ -202,8 +195,8 @@ class QYSeries:
                     raise ValueError("negative q-exponent")
                 if k > prec2:
                     continue
-                if not half_q and k % 2:
-                    raise ValueError("odd doubled exponent in an integral-q series")
+                if k % 2:
+                    raise ValueError("odd doubled exponent: q-exponents are integral")
                 if not isinstance(v, LaurentY):
                     v = LaurentY.const(v)
                 if v:
@@ -211,22 +204,22 @@ class QYSeries:
         self.c = c
 
     @classmethod
-    def zero(cls, prec2, half_q=False):
-        return cls(prec2, None, half_q)
+    def zero(cls, prec2):
+        return cls(prec2)
 
     @classmethod
-    def one(cls, prec2, half_q=False):
-        return cls(prec2, {0: _laurent_one()}, half_q)
+    def one(cls, prec2):
+        return cls(prec2, {0: _laurent_one()})
 
     @classmethod
-    def const(cls, value, prec2, half_q=False):
+    def const(cls, value, prec2):
         v = value if isinstance(value, LaurentY) else LaurentY.const(value)
-        return cls(prec2, {0: v}, half_q)
+        return cls(prec2, {0: v})
 
     @classmethod
-    def from_q_dict(cls, prec, coeffs, half_q=False):
+    def from_q_dict(cls, prec, coeffs):
         """Build from integer q-exponents (undoubled)."""
-        return cls(2 * prec, {2 * k: v for k, v in coeffs.items()}, half_q)
+        return cls(2 * prec, {2 * k: v for k, v in coeffs.items()})
 
     @property
     def q_order(self):
@@ -237,12 +230,6 @@ class QYSeries:
         if 2 * q > self.prec2:
             raise PrecisionZero(f"q^{q} beyond retained precision")
         return self.c.get(2 * q, LaurentY())
-
-    def coefficient2(self, k2):
-        """Coefficient at doubled exponent k2."""
-        if k2 > self.prec2:
-            raise PrecisionZero(f"doubled exponent {k2} beyond retained precision")
-        return self.c.get(k2, LaurentY())
 
     def valuation2(self):
         """Smallest doubled exponent with nonzero coefficient, None if zero."""
@@ -258,7 +245,7 @@ class QYSeries:
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction, LaurentY)):
-            return QYSeries.const(other, self.prec2, self.half_q)
+            return QYSeries.const(other, self.prec2)
         return other
 
     def __add__(self, other):
@@ -266,7 +253,6 @@ class QYSeries:
         if not isinstance(other, QYSeries):
             return NotImplemented
         prec2 = min(self.prec2, other.prec2)
-        half = self.half_q or other.half_q
         c = {k: v for k, v in self.c.items() if k <= prec2}
         for k, v in other.c.items():
             if k > prec2:
@@ -278,14 +264,14 @@ class QYSeries:
             else:
                 c.pop(k, None)
         out = QYSeries.__new__(QYSeries)
-        out.prec2, out.c, out.half_q = prec2, c, half
+        out.prec2, out.c = prec2, c
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
         out = QYSeries.__new__(QYSeries)
-        out.prec2, out.half_q = self.prec2, self.half_q
+        out.prec2 = self.prec2
         out.c = {k: -v for k, v in self.c.items()}
         return out
 
@@ -298,22 +284,19 @@ class QYSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentY)):
-            if isinstance(other, LaurentY) and not other:
-                return QYSeries.zero(self.prec2, self.half_q)
-            if not isinstance(other, LaurentY) and not other:
-                return QYSeries.zero(self.prec2, self.half_q)
+            if not other:
+                return QYSeries.zero(self.prec2)
             c = {}
             for k, v in self.c.items():
                 w = v * other
                 if w:
                     c[k] = w
             out = QYSeries.__new__(QYSeries)
-            out.prec2, out.c, out.half_q = self.prec2, c, self.half_q
+            out.prec2, out.c = self.prec2, c
             return out
         if not isinstance(other, QYSeries):
             return NotImplemented
         prec2 = min(self.prec2, other.prec2)
-        half = self.half_q or other.half_q
         c = {}
         for k1, v1 in self.c.items():
             if k1 > prec2:
@@ -330,7 +313,7 @@ class QYSeries:
                 else:
                     c.pop(k, None)
         out = QYSeries.__new__(QYSeries)
-        out.prec2, out.c, out.half_q = prec2, c, half
+        out.prec2, out.c = prec2, c
         return out
 
     __rmul__ = __mul__
@@ -338,7 +321,7 @@ class QYSeries:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative series power; divide explicitly")
-        result = QYSeries.one(self.prec2, self.half_q)
+        result = QYSeries.one(self.prec2)
         base = self
         while n:
             if n & 1:
@@ -362,16 +345,15 @@ class QYSeries:
         if not self.is_zero() and self.valuation2() < v:
             raise DivisionByNonUnit("divisor q-valuation exceeds dividend q-valuation")
         prec2 = min(self.prec2, other.prec2) - v
-        half = self.half_q or other.half_q
         if self.is_zero():
-            return QYSeries.zero(max(prec2, 0), half)
+            return QYSeries.zero(max(prec2, 0))
         e0, c0 = lead
         inv_lead = LaurentY.y_pow(-e0, 1 / c0)
         # shift valuations out, then invert the unit-lead series
         a = {k - v: val for k, val in self.c.items() if k - v <= prec2}
         b = {k - v: val for k, val in other.c.items() if k - v <= prec2}
         inv = {0: inv_lead}
-        for k in range(1, prec2 + 1):
+        for k in range(2, prec2 + 1, 2):
             acc = None
             for j, bj in b.items():
                 if 0 < j <= k:
@@ -393,41 +375,20 @@ class QYSeries:
                 else:
                     c.pop(k, None)
         out = QYSeries.__new__(QYSeries)
-        out.prec2, out.c, out.half_q = prec2, c, half
+        out.prec2, out.c = prec2, c
         return out
 
     def truncate(self, prec2):
         if prec2 >= self.prec2:
             return self
         out = QYSeries.__new__(QYSeries)
-        out.prec2, out.half_q = prec2, self.half_q
+        out.prec2 = prec2
         out.c = {k: v for k, v in self.c.items() if k <= prec2}
         return out
 
-    def assert_integral_q(self):
-        """Check odd doubled exponents vanished and drop the half_q flag;
-        ConsistencyError when some survived."""
-        bad = [k for k in self.c if k % 2]
-        if bad:
-            raise ConsistencyError(f"half-integral q-terms survived at doubled keys {bad}")
-        out = QYSeries.__new__(QYSeries)
-        out.prec2, out.half_q = self.prec2, False
-        out.c = dict(self.c)
-        return out
-
-    def map_y(self, s):
-        """Substitute y -> y^s in every coefficient."""
-        return QYSeries(self.prec2, {k: v.scale_exponents(s) for k, v in self.c.items()},
-                        self.half_q)
-
     def specialize_y1(self):
         """Set y = 1 in every coefficient."""
-        return QYSeries(self.prec2, {k: LaurentY.const(v.at_one()) for k, v in self.c.items()},
-                        self.half_q)
-
-    def evaluate_y(self, value):
-        return QYSeries(self.prec2, {k: LaurentY.const(v.evaluate(value)) for k, v in self.c.items()},
-                        self.half_q)
+        return QYSeries(self.prec2, {k: LaurentY.const(v.at_one()) for k, v in self.c.items()})
 
     def terms2(self):
         """Sorted (doubled exponent, coefficient) pairs."""
@@ -452,60 +413,6 @@ def eta_product(prec):
     for n in range(1, prec + 1):
         out = out * QYSeries(prec2, {0: _laurent_one(), 2 * n: LaurentY.const(-1)})
     return out
-
-
-@dataclass(frozen=True)
-class ThetaExpansion:
-    """Root-free triple product of a theta function plus prefactor tags.
-
-    The function value equals
-    ``i**i_power * q^(q_eighths/8) * y^(-y_half/2) * y_num * series``.
-    """
-
-    series: QYSeries
-    q_eighths: int
-    y_num: LaurentY
-    y_half: int
-    i_power: int
-
-
-def theta(i, prec, y_scale=1):
-    """Jacobi theta_i(q, y^y_scale) as a triple product, i in 1..4.
-
-    The q^{1/8} prefactor of theta_1, theta_2 and the y^{1/2} prefactors
-    are returned as tags on the result, never mixed into the series.
-    theta_3 and theta_4 populate half-integral q-exponents.
-    """
-    if i not in (1, 2, 3, 4):
-        raise ValueError("theta index must be 1..4")
-    if prec < 0:
-        raise ValueError("precision must be nonnegative")
-    if y_scale < 1:
-        raise ValueError("y-scale must be a positive integer")
-    s = y_scale
-    prec2 = 2 * prec
-    half = i in (3, 4)
-    sign = Fraction(-1 if i in (1, 4) else 1)
-    out = QYSeries.one(prec2, half_q=half)
-    for n in range(1, prec + 1):
-        k2 = 2 * n if i in (1, 2) else 2 * n - 1
-        if i in (1, 2):
-            out = out * QYSeries(prec2, {0: _laurent_one(), 2 * n: LaurentY.const(-1)},
-                                 half_q=half)
-        if k2 <= prec2:
-            out = out * QYSeries(prec2, {0: _laurent_one(), k2: LaurentY.y_pow(s, sign)},
-                                 half_q=half)
-            out = out * QYSeries(prec2, {0: _laurent_one(), k2: LaurentY.y_pow(-s, sign)},
-                                 half_q=half)
-    if i in (3, 4):
-        # the (1 - q^n) factors are shared by all four products
-        eta = eta_product(prec)
-        out = out * QYSeries(prec2, {k: v for k, v in eta.c.items()}, half_q=half)
-    if i == 1:
-        return ThetaExpansion(out, 1, LaurentY({s: _ONE, 0: -_ONE}), s, 3)
-    if i == 2:
-        return ThetaExpansion(out, 1, LaurentY({s: _ONE, 0: _ONE}), s, 0)
-    return ThetaExpansion(out, 0, _laurent_one(), 0, 0)
 
 
 def _sigma(k, n):

@@ -18,10 +18,8 @@ def _y_part(exponent):
 
 
 def _q_part(k2):
-    if k2 % 2 == 0:
-        n = k2 // 2
-        return "q" if n == 1 else f"q^{n}"
-    return f"q^({k2}/2)"
+    n = k2 // 2
+    return "q" if n == 1 else f"q^{n}"
 
 
 def _term_body(coeff, *parts):
@@ -96,8 +94,6 @@ def series_payload(terms, order_q):
         coeffs = laurent_payload(pairs)
         if not coeffs:
             continue
-        if k2 % 2:
-            raise ValueError("half-integral q-exponents have no JSON form")
         out.append({"q": k2 // 2, "coeffs": coeffs})
     return out
 

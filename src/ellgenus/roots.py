@@ -29,6 +29,10 @@ MAX_FIXED_POINTS = 10 ** 5
 """Largest |W^P| that ParabolicSubgroup.coset_representatives enumerates;
 beyond it TooLarge is raised before any walking (the full E8 flag has
 696729600 fixed points)."""
+MAX_CHERN_MONOMIALS = 5000
+"""Largest number p(dim) of Chern monomials, one per partition of dim, of
+a universal elliptic genus; beyond it TooLarge is raised before any work.
+E7[7] (dim 27, p = 3010) still runs; the full E6 flag (dim 36) does not."""
 _RANK_RULES = {"A": lambda n: n >= 1, "B": lambda n: n >= 2, "C": lambda n: n >= 3,
                "D": lambda n: n >= 4, "E": lambda n: n in (6, 7, 8),
                "F": lambda n: n == 4, "G": lambda n: n == 2}
@@ -443,6 +447,14 @@ class ParabolicSubgroup:
         heights = [sum(rs.root_coefficients(r)) for r in self.nilradical_roots]
         return prod(h + 1 for h in heights) // prod(heights)
 
+    def check_fixed_point_count(self):
+        """TooLarge, without walking, when there are more than
+        MAX_FIXED_POINTS fixed points."""
+        count = self.fixed_point_count()
+        if count > MAX_FIXED_POINTS:
+            raise TooLarge(f"{self!r} has {count} fixed points, more than "
+                           f"the limit of {MAX_FIXED_POINTS}")
+
     def coset_representatives(self):
         """Minimal-length representatives v, with v^{-1}(alpha) > 0 for every
         Levi simple root alpha, one per fixed point of the torus action on
@@ -454,10 +466,7 @@ class ParabolicSubgroup:
         a new orbit point (Deodhar's lemma).  TooLarge, before walking,
         when there are more than MAX_FIXED_POINTS of them."""
         if self._reps is None:
-            count = self.fixed_point_count()
-            if count > MAX_FIXED_POINTS:
-                raise TooLarge(f"{self!r} has {count} fixed points, more than "
-                               f"the limit of {MAX_FIXED_POINTS}")
+            self.check_fixed_point_count()
             rs = self.root_system
             labels = [int(i in self.crossed) for i in range(1, rs.rank + 1)]
             self._reps = _walk(rs, labels, WeylElement.identity(rs.ambient_dim),

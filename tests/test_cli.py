@@ -7,11 +7,17 @@ for the integration-failure path.
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import ellgenus
 from ellgenus import cli
 from ellgenus.cli import render_payload
 
@@ -229,6 +235,9 @@ def test_too_many_fixed_points_exits_5(no_walk):
 @pytest.mark.parametrize("argv,count", [
     (["genus", "--space", E8_FLAG, "--order", "0"], "696729600"),
     (["chi-y", "--space", "E7[1,2,3,4,5,6,7]"], "2903040"),
+    # 51840 fixed points pass their guard; dim 36 has p(36) = 17977 monomials
+    (["genus", "--space", "E6[1,2,3,4,5,6]", "--order", "0"], "17977"),
+    (["chi-y", "--space", "E6[1,2,3,4,5,6]"], "17977"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_genus_refuses_huge_space_before_universal_series(argv, count, no_walk):
     start = time.perf_counter()
@@ -237,6 +246,30 @@ def test_genus_refuses_huge_space_before_universal_series(argv, count, no_walk):
     assert code == 5
     assert out == ""
     assert count in err
+
+
+def test_unknown_command_is_refused_not_computed():
+    with pytest.raises(cli.SpecError, match="unknown command"):
+        cli._payload(cli.JobSpec(command="euler", space="A4[1]"), None)
+
+
+def test_unknown_command_refusal_survives_optimized_python():
+    script = textwrap.dedent("""
+        from ellgenus import cli
+
+        assert False, "assert statements are still active"
+        try:
+            cli._payload(cli.JobSpec(command="euler", space="A4[1]"), None)
+        except cli.SpecError:
+            print("SpecError")
+    """)
+    src = str(Path(ellgenus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "SpecError"
 
 
 def test_float_mode_with_seed_is_deterministic():

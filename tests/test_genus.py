@@ -2,6 +2,7 @@
 and the structural identities expected of weak Jacobi forms."""
 
 import hashlib
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 from ellgenus.bundles import EquivariantVectorBundle, completely_reducible_bundle
 from ellgenus.ci import CompleteIntersection, chern_number
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.genus import (ChernSymbolSeries, chi_y, elementary_in_power_sums,
-                            elliptic_genus, elliptic_genus_chernnum,
-                            power_sum_in_elementary)
+from ellgenus.errors import TooLarge
+from ellgenus.genus import (ChernSymbolSeries, _partition_count, _partitions,
+                            _poly_mul, chi_y, elliptic_genus,
+                            elliptic_genus_chernnum, power_sum_in_elementary)
 from ellgenus.homog import homogeneous_space
 from ellgenus.jacobi import basis_half_integral, linear_fit
 from ellgenus.qseries import LaurentY, QYSeries
-from ellgenus.roots import Weight
+from ellgenus.roots import MAX_CHERN_MONOMIALS, Weight, parabolic
 
 CHERNNUM_3_1 = (
     "1/24*c1*c2 + (-1/24*c1*c2 + 1/2*c3)*y + (-1/24*c1*c2 + 1/2*c3)*y^2 "
@@ -409,6 +411,23 @@ def test_power_sums_in_elementary_evaluates_on_roots(roots, m):
     assert value == sum(Fraction(x) ** m for x in roots)
 
 
+def elementary_in_power_sums(m, dim):
+    """e_m in terms of p_1..p_dim, the inverse Newton recurrence
+    e_m = (1/m) sum_{i=1}^m (-1)^{i-1} e_{m-i} p_i."""
+    if m == 0:
+        return {tuple(0 for _ in range(dim)): Fraction(1)}
+    if not 1 <= m <= dim:
+        raise ValueError("elementary index out of range")
+    unit = lambda i: tuple(1 if j == i - 1 else 0 for j in range(dim))
+    total = {}
+    for i in range(1, m + 1):
+        rec = elementary_in_power_sums(m - i, dim)
+        sign = Fraction((-1) ** (i - 1), m)
+        for e, c in _poly_mul({unit(i): sign}, rec, dim).items():
+            total[e] = total.get(e, Fraction(0)) + c
+    return {e: c for e, c in total.items() if c}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
        st.integers(1, 6))
@@ -428,3 +447,20 @@ def test_elementary_in_power_sums_evaluates_on_roots(roots, m):
         for i in range(dim, 0, -1):
             expected[i] = expected[i] + x * expected[i - 1]
     assert value == expected[m]
+
+
+def test_partition_count_matches_enumeration():
+    assert [_partition_count(n) for n in range(1, 26)] == [
+        sum(1 for _ in _partitions(n, n)) for n in range(1, 26)]
+    assert (_partition_count(0), _partition_count(27), _partition_count(36)) \
+        == (1, 3010, 17977)
+
+
+def test_universal_series_size_guard():
+    # E7[7] (dim 27, p = 3010 monomials) stays under the limit
+    assert parabolic("E7", [7]).dimension() == 27
+    assert _partition_count(27) <= MAX_CHERN_MONOMIALS
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="17977"):
+        elliptic_genus_chernnum(36, 0)
+    assert time.perf_counter() - start < 1.0

@@ -1,13 +1,262 @@
-"""Weak Jacobi form generators, bases and exact linear fitting."""
+"""Weak Jacobi form generators, bases and exact linear fitting.
 
+The generators are checked against a test-only reference that builds them
+the classical way, as quotients of Jacobi theta functions."""
+
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from collections import namedtuple
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ellgenus
 from ellgenus.errors import OddWeight
-from ellgenus.jacobi import (basis_half_integral, basis_integral, linear_fit,
-                             phi_0_1, phi_0_3half, phi_m2_1)
+from ellgenus.jacobi import (JacobiBasisElement, basis_half_integral,
+                             basis_integral, linear_fit, phi_0_1, phi_0_3half,
+                             phi_m2_1)
 from ellgenus.qseries import LaurentY, QYSeries, eisenstein
+
+# --- reference: theta quotients --------------------------------------------
+#
+# Theta functions carry half-integral powers of q, so the reference works in
+# t = q^(1/2): its series are QYSeries in t, whose coefficient(j) is the
+# coefficient of t^j = q^(j/2).
+
+Theta = namedtuple("Theta", "series q_eighths y_num y_half i_power")
+
+
+def _t_binomial(prec, j, coeff):
+    """1 + coeff * t^j, to t^(2 prec)."""
+    return QYSeries(4 * prec, {0: LaurentY.const(1), 2 * j: coeff})
+
+
+def theta(i, prec, y_scale=1):
+    """Jacobi theta_i(q, y^y_scale), i in 1..4, to q^prec by the triple
+    product; the value is
+    i**i_power * q^(q_eighths/8) * y^(-y_half/2) * y_num * series."""
+    s = y_scale
+    sign = -1 if i in (1, 4) else 1
+    out = QYSeries.one(4 * prec)
+    for n in range(1, prec + 1):
+        j = 2 * n if i in (1, 2) else 2 * n - 1
+        out = out * _t_binomial(prec, 2 * n, LaurentY.const(-1))
+        out = out * _t_binomial(prec, j, LaurentY.y_pow(s, sign))
+        out = out * _t_binomial(prec, j, LaurentY.y_pow(-s, sign))
+    if i == 1:
+        return Theta(out, 1, LaurentY({s: 1, 0: -1}), s, 3)
+    if i == 2:
+        return Theta(out, 1, LaurentY({s: 1, 0: 1}), s, 0)
+    return Theta(out, 0, LaurentY.const(1), 0, 0)
+
+
+def _q_series(t_series):
+    """The t-series as a QYSeries in q; its half-integral powers of q must
+    have cancelled."""
+    assert all(k % 4 == 0 for k in t_series.c), "half-integral q-terms survived"
+    return QYSeries(t_series.prec2 // 2, {k // 2: v for k, v in t_series.c.items()})
+
+
+def reference_phi_0_1(prec):
+    """4 times the sum of the squared theta_i(q, y)/theta_i(q, 1), i = 2, 3, 4."""
+    t2, t3, t4 = theta(2, prec), theta(3, prec), theta(4, prec)
+    assert (t2.q_eighths, t3.q_eighths) == (1, 0)
+    # the theta_2 ratio squared carries the prefactor ((y+1)^2/y)/4 = (y + 2 + 1/y)/4
+    r2 = t2.series / t2.series.specialize_y1()
+    s = r2 * r2 * LaurentY({1: Fraction(1, 4), 0: Fraction(1, 2), -1: Fraction(1, 4)})
+    for t in (t3, t4):
+        r = t.series / t.series.specialize_y1()
+        s = s + r * r
+    return _q_series(s * 4)
+
+
+def reference_phi_m2_1(prec):
+    """-theta_1(q, y)^2 / eta(q)^6: the q^(1/4) prefactors cancel, and so does
+    the minus sign against i^6 = -1."""
+    t1 = theta(1, prec)
+    assert (t1.q_eighths, t1.i_power) == (1, 3)
+    eta = QYSeries.one(4 * prec)
+    for n in range(1, prec + 1):
+        eta = eta * _t_binomial(prec, 2 * n, LaurentY.const(-1))
+    pref = (t1.y_num * t1.y_num).shift(-t1.y_half)
+    return _q_series((t1.series * t1.series * pref) / eta ** 6)
+
+
+def reference_phi_0_3half(prec):
+    """y^(1/2) theta_1(q, y^2)/theta_1(q, y): the prefactor ratio is
+    y^-1 (y^2 - 1) / (y^(-1/2) (y - 1)) * y^(1/2) = 1 + y."""
+    ta, tb = theta(1, prec, y_scale=2), theta(1, prec)
+    assert (ta.q_eighths, ta.i_power) == (tb.q_eighths, tb.i_power)
+    return _q_series((ta.series / tb.series) * LaurentY({0: 1, 1: 1}))
+
+
+def _lattice_rows(prec2, exponent, entries):
+    """{doubled q-exponent: LaurentY} of a lattice sum whose term for each
+    m >= 0 sits at doubled exponent exponent(m) with {y-exponent: coeff}
+    entries(m)."""
+    rows = {}
+    m = 0
+    while exponent(m) <= prec2:
+        row = rows.setdefault(exponent(m), {})
+        for e, c in entries(m).items():
+            row[e] = row.get(e, 0) + c
+        m += 1
+    return {k: LaurentY(row) for k, row in rows.items()}
+
+
+def test_theta3_is_lattice_sum():
+    t = theta(3, 12)
+    assert (t.q_eighths, t.y_half, t.i_power) == (0, 0, 0)
+    assert t.y_num == LaurentY.const(1)
+    # theta_3(q, y) = sum_{n in Z} q^{n^2/2} y^n
+    expected = _lattice_rows(24, lambda n: n * n, lambda n: {n: 1, -n: 1} if n else {0: 1})
+    for j in range(25):
+        assert t.series.coefficient(j) == expected.get(j, LaurentY())
+
+
+def test_theta4_is_signed_lattice_sum():
+    t = theta(4, 12)
+    assert (t.q_eighths, t.y_half, t.i_power) == (0, 0, 0)
+    # theta_4(q, y) = sum_{n in Z} (-1)^n q^{n^2/2} y^n
+    expected = _lattice_rows(24, lambda n: n * n,
+                             lambda n: {n: (-1) ** n, -n: (-1) ** n} if n else {0: 1})
+    for j in range(25):
+        assert t.series.coefficient(j) == expected.get(j, LaurentY())
+
+
+def test_theta2_is_lattice_sum():
+    t = theta(2, 12)
+    assert (t.q_eighths, t.y_half, t.i_power) == (1, 1, 0)
+    assert t.y_num == LaurentY({1: 1, 0: 1})
+    # y^{1/2} q^{-1/8} theta_2(q, y) = sum_{n in Z} q^{n(n+1)/2} y^{n+1},
+    # so (1 + y) * series must equal that sum.
+    lhs = t.series * LaurentY({1: 1, 0: 1})
+    expected = _lattice_rows(24, lambda m: m * (m + 1), lambda m: {m + 1: 1, -m: 1})
+    for j in range(25):
+        assert lhs.coefficient(j) == expected.get(j, LaurentY())
+
+
+def test_theta1_is_signed_lattice_sum():
+    t = theta(1, 12)
+    assert (t.q_eighths, t.y_half, t.i_power) == (1, 1, 3)
+    assert t.y_num == LaurentY({1: 1, 0: -1})
+    # i^3 = -i and theta_1(q,y) = -i sum_n (-1)^n q^{(n+1/2)^2/2} y^{n+1/2},
+    # so (y - 1) * series = sum_{n in Z} (-1)^n q^{n(n+1)/2} y^{n+1}.
+    lhs = t.series * LaurentY({1: 1, 0: -1})
+    expected = _lattice_rows(24, lambda m: m * (m + 1),
+                             lambda m: {m + 1: (-1) ** m, -m: -(-1) ** m})
+    for j in range(25):
+        assert lhs.coefficient(j) == expected.get(j, LaurentY())
+
+
+def test_theta_y_scale_substitutes_exponents():
+    plain, scaled = theta(1, 8), theta(1, 8, y_scale=2)
+    for j in range(17):
+        assert scaled.series.coefficient(j) == plain.series.coefficient(j).scale_exponents(2)
+    assert scaled.y_num == LaurentY({2: 1, 0: -1})
+
+
+# --- the generators ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("prec", range(21))
+def test_generators_equal_theta_quotients(prec):
+    assert phi_0_1(prec) == reference_phi_0_1(prec)
+    assert phi_m2_1(prec) == reference_phi_m2_1(prec)
+    assert phi_0_3half(prec) == reference_phi_0_3half(prec)
+
+
+def test_generators_at_y_equal_one():
+    # phi_{0,1}(tau, 0) = 12, phi_{-2,1}(tau, 0) = 0 and y^{1/2} phi_{0,3/2} -> 2
+    for phi, value in ((phi_0_1, 12), (phi_m2_1, 0), (phi_0_3half, 2)):
+        assert phi(12).specialize_y1() == QYSeries.const(value, 24)
+
+
+def test_index_one_generators_are_symmetric_in_y():
+    for phi in (phi_0_1, phi_m2_1):
+        s = phi(12)
+        for n in range(13):
+            assert s.coefficient(n).reciprocal_y() == s.coefficient(n)
+
+
+PINNED_BASIS_DIGESTS = {
+    (7, 0): "a0e93319d5b0241ae83e3936396f37ba0ce6cedbb2ce81e07682e23e61e8c5f6",
+    (7, 1): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (7, 2): "c256c6d35d6b09a905fe658f5d3e664fa314caf73e70d8676de6203d1b1eb1d7",
+    (7, 3): "84229973b74313c98517259dfddfc5e502892a6f4a795f08f2b966076c5e7db9",
+    (7, 4): "58b341f9d65392e5e60380fb9eddbac0e6077b6e3f9e29780547c9e3eb52bfc5",
+    (7, 5): "fcd1ce42e1ebf43af774b2279d80de6cfcc6ce8d1ea80448f3389f7d68255675",
+    (7, 6): "7c49408ecbdc09dcb6c9d175536657126cb1e37a879ddc12cdda52a1e2596a43",
+    (7, 7): "ea29564ef80a47b6a75c3c22a923a235057c454308fb03f2b9c0ad86b434d2ae",
+    (7, 8): "aec140ae845cf9e28cdd102b8f5480a59116f47b160476abcdd952aeca86a576",
+    (7, 9): "facd2aa7ee01c31a204bc45cbc2847dddab669525e1692b455b20d4713fe051b",
+    (7, 10): "57150cc59a6a720c26158c75b29b202e18341589f270c05dea760f4b604fc961",
+    (7, 11): "bf6ffb4306b8fcb52fbb14188f00f0399f8db2dbf9065d687e7d27d408ddbedd",
+    (7, 12): "abe5f9fce52230818ade2799b25a6869aa5d1a96a14052e06d879ffefdba02b5",
+    (7, 13): "631c6004aa0e9e7c10a76898f4c0d165eec7eaaf1d5ad104ada6c2a88f286b28",
+    (7, 14): "c71b514aa5bc87937e9e5635975f7efd2f14340266abff3edf27c09c83dc9156",
+    (7, 15): "1702add9d0f6fd6888c87e75dfbe291a6b2414cc67071f1cb395f264963e6a02",
+    (7, 16): "ccf688ee08f6a984639131bf12aeb708039d8deca25ecdd169bc43df1f66a5c1",
+    (7, 17): "e8a12f3b90fce142f9366dd00d7c69f01a699714775ccebf4b395f8c04e3a834",
+    (7, 18): "d6199eec7632b19a760fd1b4ba3423916ca469a98afb8875ec0210dbfe381870",
+    (7, 19): "235261a8784830efe28c6c5bc349b1ba2e21e1c8e6be7e93b7fb53b2797c8bc8",
+    (7, 20): "d80667aaae4c8e7400ffa80d100f36425fe8d0acd1bebcf977d4ff1833b3ccaa",
+    (15, 5): "c743ecc3b9ad2e522ba0dc2a836cd2aeafd2565bc9627ec57cd9e9cb6cbf7b49",
+    (15, 6): "cc3151abb3083527f6447f92ecf4748e7a3b01f7cdd22e2dfdbb0969e4d0bc28",
+    (15, 7): "1c893d033c0eaedb4fc3e49b7737bdf4af2bc6d42552cdc824f3772d3e17e25b",
+    (15, 9): "96ac7d67eb2c25d145657fcdc9503a3e6212580b033d322a1b305865a9e35a41",
+    (15, 10): "054a5ba9265e37b52906c3b4c7bf89f8f296bba3d9926677d7e4dbaed81b640a",
+    (15, 12): "49c88fa0e49f6eba737830c096904aae70a306e68ae515197be0aab70cf075e7",
+    (16, 5): "713469fc66b5b9e5ca2501e902846e850e97c9fdc0c410a6a8f8b4edcaa9529e",
+    (16, 6): "ff785734cac0a55dfb1be3dac7eb2a49916120cc423201a3376f23485977b65c",
+    (16, 7): "6dd3ae6915a69f3ad4f9b81d1aa8dc40e95c5dedb102ca4a992698d74995c1de",
+    (16, 9): "b1bf1562018dd2b059d0d4b5bd3ab75c5987363af0c791a28969be3f65bac608",
+    (16, 10): "2e6977ffc4d44379f88c6ae502a2b7453fd193135b9c1d4019371cabf0f5742a",
+    (16, 12): "2445e6256afacc0863de36e7f851271d53d52d58b838cedcf7e649d545342322",
+    (17, 5): "3e04b019d26829542af9e93e7e9d2b3e31d2022a487af9c01154c9b8492ad607",
+    (17, 6): "f9a87034a9c61d44ccbacbc1935c471c55453501c9096b405fdbd632fc31009b",
+    (17, 7): "9ef754d5854046f688ed8735ad00dd57d3692286ce592a722ba78bf2200e4350",
+    (17, 9): "1d1b7c7904951589422d191e849b71a4555eded00298747725406bcc918b5abb",
+    (17, 10): "70c0ec2bf24ff4dd1b51cf48cb3cb4c0acf5eeb4af1180b020e88de7e9d41cd3",
+    (17, 12): "ccebfc2b0016e87a5f52406938eb53682192e54489aa03443af93ebd9b336ce6",
+    (18, 5): "1d1ee1751215fdf32bc2567592130f4522aeb46d9da94f94732b470da66046ae",
+    (18, 6): "63d591e0854f84b9045a35e4308dd079bd877914dc15f309cf3c8b98783d9277",
+    (18, 7): "ccfcebaa8d5a5b9b0d600fcdb40386bc781948fb487d12912b77f67eac1e6d3b",
+    (18, 9): "167017a8b3c38fb6c2e24f6a07dd0f34807b930824a0c9ef161fd9500deaa4f2",
+    (18, 10): "d5e6a6e972748948ec0f8483502138f3bf921ae4afeef04208a5a06658542a73",
+    (18, 12): "7eed843db4ddbbc5e5d99d925824f44906c0f158f50c8f92b39080b52e223e9b",
+    (19, 5): "5a3b4792aa2039155e2769104406c8bfa1e818720ab829ce00a640a799e9d252",
+    (19, 6): "3845be31a1eaae05112ae1842a99bf979a29288dd72bc99e5d1f5b80e2e73c85",
+    (19, 7): "4b87c73e7abf638920808f1a25c7c385f0fb12073a0e76ea9305cf6cacaddda0",
+    (19, 9): "6b88475506cf6c580e5008860e47528e9e8e8eb8c295f6acc4f544d9a7a1ef43",
+    (19, 10): "59f779a8cd4093f5ad4a84fec47949f439a58590ff446ad494cfd6425e990d1e",
+    (19, 12): "8d3db84a06c3dd3a90aa27a3d1648c3daba7b44cf1c573eb5dd691856441d603",
+    (20, 5): "8c105787e788a2fd38e2c0f68dbffd92f08f491b816d2f249b574373235cce8e",
+    (20, 6): "a1ad08344be8f83017d70d5e731b8062e845980dd8d312489cd5bde5281524ca",
+    (20, 7): "1f49d8b9092b93dbb1ecfe70eb9f8db9e96bffc938f90a925a6b38cfb1f55580",
+    (20, 9): "2ad392dd87cabf3863f82cd0db3cd8aeec3a0ae117a28aefe723dd7c5e77dc82",
+    (20, 10): "099e21529a47e9b9df009ff18101bab895c745149ebc34f1fea8ff6a1008c733",
+    (20, 12): "4d7e3d6a632d6e332e509541ba2356063d75db38bb168e4e7b08e3a05e82c885",
+}
+
+
+
+def _basis_digest(double_index, prec):
+    text = "\n".join(e.label() + "\t" + str(e.series)
+                     for e in basis_half_integral(0, double_index, prec))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("prec", [7] + list(range(15, 21)))
+def test_weight0_bases_are_pinned(prec):
+    for (p, i), digest in PINNED_BASIS_DIGESTS.items():
+        if p == prec:
+            assert _basis_digest(i, prec) == digest, (prec, i)
+
 
 
 def test_generator_q0_rows():
@@ -96,3 +345,32 @@ def test_linear_fit_rejects_outside_span():
 def test_linear_fit_with_no_elements():
     assert linear_fit(QYSeries.zero(4), []) == []
     assert linear_fit(QYSeries.one(4), []) is None
+
+
+def test_basis_element_rejects_wrong_weight_or_index():
+    one = QYSeries.one(4)
+    with pytest.raises(ValueError, match="weight"):
+        JacobiBasisElement(1, 0, 0, 0, False, 0, 0, one)
+    with pytest.raises(ValueError, match="double index"):
+        JacobiBasisElement(0, 0, 1, 0, True, 0, 2, one)
+
+
+def test_basis_element_check_survives_optimized_python():
+    script = textwrap.dedent("""
+        from ellgenus.jacobi import JacobiBasisElement
+        from ellgenus.qseries import QYSeries
+
+        assert False, "assert statements are still active"
+        for args in ((1, 0, 0, 0, False, 0, 0), (0, 0, 1, 0, True, 0, 2)):
+            try:
+                JacobiBasisElement(*args, QYSeries.one(4))
+            except ValueError:
+                print("ValueError")
+    """)
+    src = str(Path(ellgenus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["ValueError"] * 2

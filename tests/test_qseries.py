@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import ellgenus.qseries
 import ellgenus.taylor
-from ellgenus.errors import ConsistencyError, DivisionByNonUnit, PrecisionZero
-from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product, theta
+from ellgenus.errors import DivisionByNonUnit, PrecisionZero
+from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product
 
 PREC = 24
 
@@ -37,83 +37,6 @@ def test_eta_matches_pentagonal_number_theorem():
     eta = eta_product(PREC)
     for n in range(PREC + 1):
         assert eta.coefficient(n) == LaurentY.const(expected.get(n, 0))
-
-
-def test_theta3_is_lattice_sum():
-    t = theta(3, 12)
-    assert (t.q_eighths, t.y_half, t.i_power) == (0, 0, 0)
-    assert t.y_num == LaurentY.const(1)
-    prec2 = t.series.prec2
-    # theta_3(q, y) = sum_{n in Z} q^{n^2/2} y^n
-    expected = {}
-    n = 0
-    while n * n <= prec2:
-        expected.setdefault(n * n, {})[n] = Fraction(1)
-        expected[n * n][-n] = Fraction(1)
-        n += 1
-    for k2 in range(prec2 + 1):
-        assert t.series.coefficient2(k2) == LaurentY(expected.get(k2, {}))
-
-
-def test_theta4_is_signed_lattice_sum():
-    t = theta(4, 12)
-    assert (t.q_eighths, t.y_half, t.i_power) == (0, 0, 0)
-    prec2 = t.series.prec2
-    # theta_4(q, y) = sum_{n in Z} (-1)^n q^{n^2/2} y^n
-    expected = {}
-    n = 0
-    while n * n <= prec2:
-        sign = Fraction(-1 if n % 2 else 1)
-        expected.setdefault(n * n, {})[n] = sign
-        expected[n * n][-n] = sign
-        n += 1
-    for k2 in range(prec2 + 1):
-        assert t.series.coefficient2(k2) == LaurentY(expected.get(k2, {}))
-
-
-def test_theta2_is_lattice_sum():
-    t = theta(2, 12)
-    assert (t.q_eighths, t.y_half, t.i_power) == (1, 1, 0)
-    assert t.y_num == LaurentY({1: 1, 0: 1})
-    prec2 = t.series.prec2
-    # y^{1/2} q^{-1/8} theta_2(q, y) = sum_{n in Z} q^{n(n+1)/2} y^{n+1},
-    # so (1 + y) * series must equal that sum.
-    lhs = t.series * QYSeries(prec2, {0: LaurentY({1: 1, 0: 1})})
-    expected = {}
-    m = 0
-    while m * (m + 1) <= prec2:
-        row = expected.setdefault(m * (m + 1), {})
-        row[m + 1] = row.get(m + 1, 0) + 1
-        row[-m] = row.get(-m, 0) + 1
-        m += 1
-    for k2 in range(prec2 + 1):
-        assert lhs.coefficient2(k2) == LaurentY(expected.get(k2, {}))
-
-
-def test_theta1_is_signed_lattice_sum():
-    t = theta(1, 12)
-    assert (t.q_eighths, t.y_half, t.i_power) == (1, 1, 3)
-    assert t.y_num == LaurentY({1: 1, 0: -1})
-    prec2 = t.series.prec2
-    # i^3 = -i and theta_1(q,y) = -i sum_n (-1)^n q^{(n+1/2)^2/2} y^{n+1/2},
-    # so (y - 1) * series = sum_{n in Z} (-1)^n q^{n(n+1)/2} y^{n+1}.
-    lhs = t.series * QYSeries(prec2, {0: LaurentY({1: 1, 0: -1})})
-    expected = {}
-    m = 0
-    while m * (m + 1) <= prec2:
-        row = expected.setdefault(m * (m + 1), {})
-        sign = Fraction(-1 if m % 2 else 1)
-        row[m + 1] = row.get(m + 1, 0) + sign
-        row[-m] = row.get(-m, 0) - sign
-        m += 1
-    for k2 in range(prec2 + 1):
-        assert lhs.coefficient2(k2) == LaurentY(expected.get(k2, {}))
-
-
-def test_theta_y_scale_substitutes_exponents():
-    plain, scaled = theta(1, 8), theta(1, 8, y_scale=2)
-    assert scaled.series == plain.series.map_y(2)
-    assert scaled.y_num == LaurentY({2: 1, 0: -1})
 
 
 def test_eisenstein_frozen_coefficients():
@@ -212,26 +135,9 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         QYSeries(-2)
     with pytest.raises(ValueError):
-        QYSeries(6, {1: LaurentY.const(1)})  # odd doubled key, integral q
-    assert QYSeries(6, {1: LaurentY.const(1)}, half_q=True).coefficient2(1) \
-        == LaurentY.const(1)
+        QYSeries(6, {1: LaurentY.const(1)})  # odd doubled key: q^(1/2)
     with pytest.raises(ValueError):
         QYSeries(6, {-2: LaurentY.const(1)})
-    with pytest.raises(ValueError):
-        theta(5, 3)
-    with pytest.raises(ValueError):
-        theta(1, -1)
-    with pytest.raises(ValueError):
-        theta(1, 3, y_scale=0)
-
-
-def test_surviving_half_integral_terms_raise_consistency_error():
-    half = QYSeries(6, {0: LaurentY.const(1), 2: LaurentY.const(2)}, half_q=True)
-    assert half.assert_integral_q() == QYSeries(6, {0: LaurentY.const(1),
-                                                    2: LaurentY.const(2)})
-    odd = QYSeries(6, {0: LaurentY.const(1), 3: LaurentY.y_pow(1)}, half_q=True)
-    with pytest.raises(ConsistencyError, match=r"\[3\]"):
-        odd.assert_integral_q()
 
 
 def test_truncate_and_equality_respect_precision():
