@@ -11,6 +11,7 @@ import ellgenus.qseries
 import ellgenus.taylor
 from ellgenus.errors import DivisionByNonUnit, PrecisionZero
 from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product
+from theta_reference import theta
 
 PREC = 24
 
@@ -37,6 +38,72 @@ def test_eta_matches_pentagonal_number_theorem():
     eta = eta_product(PREC)
     for n in range(PREC + 1):
         assert eta.coefficient(n) == LaurentY.const(expected.get(n, 0))
+
+
+def _lattice_rows(prec2, exponent, entries):
+    """{doubled q-exponent: LaurentY} of a lattice sum whose term for each
+    m >= 0 sits at doubled exponent exponent(m) with {y-exponent: coeff}
+    entries(m)."""
+    rows = {}
+    m = 0
+    while exponent(m) <= prec2:
+        row = rows.setdefault(exponent(m), {})
+        for e, c in entries(m).items():
+            row[e] = row.get(e, 0) + c
+        m += 1
+    return {k: LaurentY(row) for k, row in rows.items()}
+
+
+def test_theta3_is_lattice_sum():
+    t = theta(3, 12)
+    assert (t.q_eighths, t.y_half, t.i_power) == (0, 0, 0)
+    assert t.y_num == LaurentY.const(1)
+    # theta_3(q, y) = sum_{n in Z} q^{n^2/2} y^n
+    expected = _lattice_rows(24, lambda n: n * n, lambda n: {n: 1, -n: 1} if n else {0: 1})
+    for j in range(25):
+        assert t.series.coefficient(j) == expected.get(j, LaurentY())
+
+
+def test_theta4_is_signed_lattice_sum():
+    t = theta(4, 12)
+    assert (t.q_eighths, t.y_half, t.i_power) == (0, 0, 0)
+    # theta_4(q, y) = sum_{n in Z} (-1)^n q^{n^2/2} y^n
+    expected = _lattice_rows(24, lambda n: n * n,
+                             lambda n: {n: (-1) ** n, -n: (-1) ** n} if n else {0: 1})
+    for j in range(25):
+        assert t.series.coefficient(j) == expected.get(j, LaurentY())
+
+
+def test_theta2_is_lattice_sum():
+    t = theta(2, 12)
+    assert (t.q_eighths, t.y_half, t.i_power) == (1, 1, 0)
+    assert t.y_num == LaurentY({1: 1, 0: 1})
+    # y^{1/2} q^{-1/8} theta_2(q, y) = sum_{n in Z} q^{n(n+1)/2} y^{n+1},
+    # so (1 + y) * series must equal that sum.
+    lhs = t.series * LaurentY({1: 1, 0: 1})
+    expected = _lattice_rows(24, lambda m: m * (m + 1), lambda m: {m + 1: 1, -m: 1})
+    for j in range(25):
+        assert lhs.coefficient(j) == expected.get(j, LaurentY())
+
+
+def test_theta1_is_signed_lattice_sum():
+    t = theta(1, 12)
+    assert (t.q_eighths, t.y_half, t.i_power) == (1, 1, 3)
+    assert t.y_num == LaurentY({1: 1, 0: -1})
+    # i^3 = -i and theta_1(q,y) = -i sum_n (-1)^n q^{(n+1/2)^2/2} y^{n+1/2},
+    # so (y - 1) * series = sum_{n in Z} (-1)^n q^{n(n+1)/2} y^{n+1}.
+    lhs = t.series * LaurentY({1: 1, 0: -1})
+    expected = _lattice_rows(24, lambda m: m * (m + 1),
+                             lambda m: {m + 1: (-1) ** m, -m: -(-1) ** m})
+    for j in range(25):
+        assert lhs.coefficient(j) == expected.get(j, LaurentY())
+
+
+def test_theta_y_scale_substitutes_exponents():
+    plain, scaled = theta(1, 8), theta(1, 8, y_scale=2)
+    for j in range(17):
+        assert scaled.series.coefficient(j) == plain.series.coefficient(j).scale_exponents(2)
+    assert scaled.y_num == LaurentY({2: 1, 0: -1})
 
 
 def test_eisenstein_frozen_coefficients():
