@@ -2,54 +2,26 @@
 
 The zero locus X of a general section of an equivariant bundle E on M has
 c(TX) = c(TM)/c(E) by adjunction (a truncated graded series division; c_0
-of E is 1, so the quotient is exact), and integrals push forward to the
-ambient space against the Euler class: int_X f = int_M f * c_top(E).
+of E is 1, so the quotient is exact), and its integrals localize at the
+fixed points of M with the weight e(E)/e(TM) in place of 1/e(TM).  A
+CompleteIntersection names M as `ambient` and the weights of E as
+`section`, so it integrates by the same method as a HomogeneousSpace, and
+homog.localization_sum evaluates c(TX) and the weight as numbers at each
+fixed point; no polynomial product with the Euler class is built.
 
-Chern numbers never build polynomials: chern_numbers localizes at each
-fixed point w of M first.  With the evaluation point p moved to A_w p, the
-Chern roots there are the numbers <alpha, A_w p> for the tangent weights
-alpha of M and <beta, A_w p> for the weights beta of E; c(TM) and c(E) are
-their elementary symmetric functions, c(TX) is the graded quotient of the
-two number lists, and the Euler class of E is the product of its roots.
-Every requested monomial then adds prod_j c_{d_j}(TX) * e(E) / e(TM) at w
-to its own total, so one pass over the fixed points per evaluation point
-serves all of them.
+chern_numbers passes one integrand per monomial prod_j c_{d_j}(TX), so
+one pass over the fixed points per evaluation point serves all of them.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import prod
 
 from .cohomology import CohomologyClass
 from .errors import NegativeDimension
-from .homog import draw_sum, round_float, two_point_sum
+from .homog import HomogeneousSpace, _graded_division, localize
 
 _F = Fraction
-
-
-def _graded_division(numer, denom, max_degree):
-    """Quotient list [t_0, ..., t_max_degree] with (sum denom_j) *
-    (sum t_k) = sum numer_k through max_degree, for lists of homogeneous
-    classes or of numbers; denom_0 must be 1 and both lists must reach
-    max_degree."""
-    out = []
-    for k in range(max_degree + 1):
-        t = numer[k]
-        for j in range(1, k + 1):
-            t = t - denom[j] * out[k - j]
-        out.append(t)
-    return out
-
-
-def _elementary(values, max_degree):
-    """[e_0, ..., e_max_degree] of a list of numbers."""
-    e = [1] + [0] * max_degree
-    for i, x in enumerate(values):
-        for k in range(min(i + 1, max_degree), 0, -1):
-            e[k] += e[k - 1] * x
-    return e
 
 
 class CompleteIntersection:
@@ -79,6 +51,10 @@ class CompleteIntersection:
     def ambient_dim(self):
         return self.ambient.ambient_dim
 
+    @property
+    def section(self):
+        return self.bundle.weights
+
     def chern_classes(self):
         """[c_0, ..., c_d] of the tangent bundle, by adjunction."""
         if self._chern is None:
@@ -105,50 +81,11 @@ class CompleteIntersection:
             self._euler_class = total
         return self._euler_class
 
-    def integrate(self, f, mode="exact", rng=None):
-        """int_X f = int_M (f * c_top(E)), degree-selected on X."""
-        top = f.graded_component(self._dim)
-        return self.ambient.integrate(top.times(self.euler_class()),
-                                      mode=mode, rng=rng)
-
-    def integrate_float_raw(self, f, rng=None):
-        top = f.graded_component(self._dim)
-        return self.ambient.integrate_float_raw(top.times(self.euler_class()),
-                                                rng=rng)
+    integrate = HomogeneousSpace.integrate
 
 
 def complete_intersection(bundle):
     return CompleteIntersection(bundle)
-
-
-def _ambient_and_section(manifold):
-    """The homogeneous space whose fixed points localize the manifold's
-    integrals, and the weights of its section bundle (none for G/P)."""
-    if isinstance(manifold, CompleteIntersection):
-        return manifold.ambient, manifold.bundle.weights
-    return manifold, ()
-
-
-def _fixed_point_sums(space, section, monomials, point):
-    """Localization sums at one point, one per monomial: over the fixed
-    points w of space, prod_j c_{d_j}(TX)(w) * e(E)(w) / e(TM)(w), with the
-    Chern roots of TM and of the section bundle E (weights `section`) at w
-    paired with A_w p.  Exact for Fraction coordinates, floating point
-    otherwise; DegeneratePoint when a tangent root vanishes."""
-    dim = space.dimension() - len(section)
-    section = [beta.coords for beta in section]
-    totals = [0] * len(monomials)
-    for moved, roots, euler_tm in space.fixed_points(point):
-        chern = _elementary(roots, dim)
-        weight = 1 / euler_tm
-        if section:
-            bundle_roots = [sum(b * m for b, m in zip(beta, moved))
-                            for beta in section]
-            chern = _graded_division(chern, _elementary(bundle_roots, dim), dim)
-            weight *= prod(bundle_roots)
-        for i, degrees in enumerate(monomials):
-            totals[i] += prod((chern[k] for k in degrees), start=weight)
-    return totals
 
 
 def chern_numbers(manifold, degree_lists, mode="exact", rng=None):
@@ -163,22 +100,10 @@ def chern_numbers(manifold, degree_lists, mode="exact", rng=None):
         for k in degrees:
             if not 1 <= k <= dim:
                 raise ValueError(f"chern class degree {k} outside 1..{dim}")
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown integration mode {mode!r}")
     wanted = [degrees for degrees in lists if sum(degrees) == dim]
-    if not wanted:
-        return [_F(0)] * len(lists)
-    space, section = _ambient_and_section(manifold)
-
-    def point_sum(point):
-        return _fixed_point_sums(space, section, wanted, point)
-
-    rng = rng if rng is not None else random.Random()
-    if mode == "float":
-        raw = draw_sum(point_sum, space.ambient_dim, rng, exact=False)
-        values = iter([round_float(v) for v in raw])
-    else:
-        values = iter(two_point_sum(point_sum, space.ambient_dim, rng))
+    integrands = [lambda moved, chern, degrees=degrees:
+                  (chern[k] for k in degrees) for degrees in wanted]
+    values = iter(localize(manifold, integrands, mode, rng))
     return [next(values) if sum(degrees) == dim else _F(0) for degrees in lists]
 
 

@@ -10,9 +10,9 @@ general section.
 Exit codes: 0 success, 2 malformed command line, 3 mathematically invalid
 input (odd basis weight, non-dominant bundle weight, negative-dimensional
 intersection, bad degree list), 4 integration or self-check failure (no
-generic evaluation point, an unstable float rounding, the two evaluation
-points of the exact self-check disagreeing, or another built-in
-consistency check failing), 5 a space with more fixed points than
+generic evaluation point, an unstable or non-finite float value, the two
+evaluation points of the exact self-check disagreeing, or another
+built-in consistency check failing), 5 a space with more fixed points than
 roots.MAX_FIXED_POINTS or of a dimension whose universal elliptic genus
 has more Chern monomials than roots.MAX_CHERN_MONOMIALS (refused before
 any enumeration).  Results go to stdout; diagnostics to stderr.

@@ -51,7 +51,7 @@ class TooLarge(EllgenusError):
 
 class FloatUnstable(EllgenusError):
     """Numerical localization value did not round to a nearby small
-    rational within tolerance."""
+    rational within tolerance, or was not finite (an overflowed sum)."""
 
 
 class BaseMismatch(EllgenusError):

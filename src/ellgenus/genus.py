@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .ci import _ambient_and_section, chern_number, chern_numbers
+from .ci import chern_number, chern_numbers
 from .errors import TooLarge
 from .qseries import LaurentY, QYSeries
 from .render import _join, _q_part, _term_body, _y_part
@@ -294,7 +294,7 @@ def elliptic_genus(manifold, k, mode="exact", rng=None):
         return QYSeries.const(points, 2 * k)
     # the fixed-point guard runs first and without walking; the universal
     # series then checks its own size, both before any work
-    _ambient_and_section(manifold)[0].parabolic.check_fixed_point_count()
+    manifold.ambient.parabolic.check_fixed_point_count()
     universal = elliptic_genus_chernnum(dim, k)
     monomials = universal.monomials()
     degree_lists = [[m for m, e in enumerate(emon, start=1) for _ in range(e)]

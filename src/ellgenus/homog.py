@@ -1,28 +1,29 @@
-"""Homogeneous spaces G/P with localization-based integration.
+"""Homogeneous spaces G/P and the one localization path for integrals.
 
 A HomogeneousSpace carries the tangent weights (the positive roots outside
-the Levi), Chern/Todd classes as polynomial representatives in the ambient
-coordinates, and an integral computed by the Atiyah-Bott fixed-point
-formula: a sum over Weyl coset representatives of the integrand divided by
-the product of the tangent weights, evaluated at a generic point.
+the Levi) and Chern/Todd classes as polynomial representatives in the
+ambient coordinates.  Every integral, over G/P or over a complete
+intersection in it, is the Atiyah-Bott fixed-point sum of
+localization_sum: at each Weyl coset representative w the point p moves
+to A_w p, the tangent Chern roots there are numbers, c(TX) is their
+elementary symmetric functions (divided by those of the section bundle E
+for a complete intersection), and every integrand adds its value times
+e(E)/e(TM) to its own total.  Chern numbers multiply entries of c(TX);
+integrate(f) evaluates the polynomial f at A_w p.
 
-The sum is a constant function of the point, so exact mode evaluates it at
-a random integer point, and at a second independent point that must give
-the same value (ConsistencyError otherwise), instead of simplifying
-rational functions symbolically.  draw_sum and two_point_sum hold that
-protocol for any per-point sum.
-
-Chern numbers take the numeric fixed-point path of ci.chern_numbers, which
-evaluates the Chern roots at each fixed point and never builds a
-polynomial; integrate(f) on a polynomial class is kept for arbitrary
-integrands such as the listed Chern and Todd classes.
+The sum is a constant function of the point, so localize, the one draw
+protocol, evaluates it in exact mode at a random integer point and at a
+second independent point that must give the same value (ConsistencyError
+otherwise), and in float mode at one random real point rounded to a
+nearby small-denominator rational; no rational function is simplified
+symbolically.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import isfinite, prod
 
 from . import bundles
 from .errors import ConsistencyError, DegeneratePoint, FloatUnstable
@@ -72,27 +73,33 @@ class HomogeneousSpace:
 
     # ----- localization ---------------------------------------------------
 
+    # integrals localize at the fixed points of the ambient space, weighted
+    # by the bundle whose section cuts the manifold out: G/P itself, none
+    section = ()
+
+    @property
+    def ambient(self):
+        return self
+
     def fixed_point_count(self):
         """|W^P|, from the closed form, without enumerating the points."""
         return self.parabolic.fixed_point_count()
 
-    def localization_sum(self, f, point):
-        """The raw fixed-point sum of f at one point, with no degree
-        selection: sum over representatives w of f(A_w p) / prod alpha(A_w p).
+    def localization_sum(self, point, integrands, section=()):
+        """Fixed-point sums at one point, one total per integrand.
 
-        Exact for Fraction coordinates, floating point otherwise; raises
-        DegeneratePoint when the point lies on a reflected root hyperplane.
+        At each fixed point w the point moves to A_w p, the tangent Chern
+        roots are <alpha, A_w p>, and the submanifold X cut out by a
+        section of the bundle with weights `section` (G/P itself when
+        empty) has c(TX) = c(TM)/c(E) as numbers [c_0, ..., c_dim X] and
+        the weight e(E)/e(TM).  Each integrand(moved, chern) returns the
+        factors of its class at w, and its total gains their product
+        times the weight.  Exact for Fraction coordinates, floating point
+        otherwise; raises DegeneratePoint when a tangent root vanishes.
         """
-        exact = all(isinstance(p, Fraction) for p in point)
-        total = _F(0) if exact else 0.0
-        for moved, _, euler in self.fixed_points(point):
-            total += f.evaluate(moved) / euler
-        return total
-
-    def fixed_points(self, point):
-        """At each fixed point w: the moved point A_w p, the tangent Chern
-        roots <alpha, A_w p> and their product, the Euler class of the
-        tangent space at w.  Raises DegeneratePoint when a root vanishes."""
+        dim = self.dimension() - len(section)
+        section = [beta.coords for beta in section]
+        totals = [0] * len(integrands)
         for rep in self.parabolic.coset_representatives():
             moved = tuple(sum(r * p for r, p in zip(row, point))
                           for row in rep.matrix)
@@ -101,20 +108,20 @@ class HomogeneousSpace:
             euler = prod(roots)
             if euler == 0:
                 raise DegeneratePoint("point lies on a root hyperplane")
-            yield moved, roots, euler
-
-    def integrate_float_raw(self, f, rng=None):
-        """Float-mode fixed-point sum of the top-degree part of f,
-        before any rounding."""
-        top = f.graded_component(self.dimension())
-        if top.is_zero():
-            return 0.0
-        rng = rng if rng is not None else random.Random()
-        return draw_sum(lambda point: self.localization_sum(top, point),
-                        self.ambient_dim, rng, exact=False)
+            chern = _elementary(roots, dim)
+            weight = 1 / euler
+            if section:
+                bundle_roots = [sum(b * m for b, m in zip(beta, moved))
+                                for beta in section]
+                chern = _graded_division(chern, _elementary(bundle_roots, dim),
+                                         dim)
+                weight *= prod(bundle_roots)
+            for i, integrand in enumerate(integrands):
+                totals[i] += prod(integrand(moved, chern), start=weight)
+        return totals
 
     def integrate(self, f, mode="exact", rng=None):
-        """Integral over G/P of the degree-d component of f.
+        """Integral of the top-degree component of f over the manifold.
 
         exact mode returns a Fraction computed at two independent generic
         integer points (ConsistencyError unless equal); float mode
@@ -122,17 +129,54 @@ class HomogeneousSpace:
         small-denominator rational, raising FloatUnstable when no such
         rational is close enough.
         """
-        if mode not in ("exact", "float"):
-            raise ValueError(f"unknown integration mode {mode!r}")
-        if mode == "float":
-            value = self.integrate_float_raw(f, rng)
-            return round_float(value)
         top = f.graded_component(self.dimension())
-        if top.is_zero():
-            return _F(0)
-        rng = rng if rng is not None else random.Random()
-        return two_point_sum(lambda point: self.localization_sum(top, point),
-                             self.ambient_dim, rng)
+        integrands = [lambda moved, chern: (top.evaluate(moved),)] if top else []
+        values = localize(self, integrands, mode, rng)
+        return values[0] if values else _F(0)
+
+
+def localize(manifold, integrands, mode="exact", rng=None):
+    """Integrals over a G/P or a complete intersection in one, one per
+    integrand of localization_sum, by the draw protocol: two agreeing
+    integer points in exact mode, one float point rounded by round_float
+    in float mode.  The only place that checks `mode`."""
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown integration mode {mode!r}")
+    if not integrands:
+        return []
+    space = manifold.ambient
+    rng = rng if rng is not None else random.Random()
+
+    def point_sum(point):
+        return space.localization_sum(point, integrands, manifold.section)
+
+    if mode == "float":
+        raw = draw_sum(point_sum, space.ambient_dim, rng, exact=False)
+        return [round_float(value) for value in raw]
+    return two_point_sum(point_sum, space.ambient_dim, rng)
+
+
+def _elementary(values, max_degree):
+    """[e_0, ..., e_max_degree] of a list of numbers."""
+    e = [1] + [0] * max_degree
+    for i, x in enumerate(values):
+        for k in range(min(i + 1, max_degree), 0, -1):
+            e[k] += e[k - 1] * x
+    return e
+
+
+def _graded_division(numer, denom, max_degree):
+    """Quotient list [t_0, ..., t_max_degree] with (sum denom_j) *
+    (sum t_k) = sum numer_k through max_degree, for lists of homogeneous
+    classes or of numbers; denom_0 must be 1 and both lists must reach
+    max_degree."""
+    out = []
+    for k in range(max_degree + 1):
+        t = numer[k]
+        for j in range(1, k + 1):
+            t = t - denom[j] * out[k - j]
+        out.append(t)
+    return out
 
 
 def draw_sum(point_sum, n, rng, exact=True):
@@ -168,7 +212,10 @@ def two_point_sum(point_sum, n, rng):
 
 def round_float(value):
     """Nearest integer when within tolerance, else a small-denominator
-    rational; FloatUnstable when neither is close enough."""
+    rational; FloatUnstable when neither is close enough or the value is
+    not finite (an overflowed sum)."""
+    if not isfinite(value):
+        raise FloatUnstable(f"no stable rational near {value!r}")
     tol = _FLOAT_TOL * max(1.0, abs(value))
     nearest = round(value)
     if abs(nearest - value) < tol:

@@ -1,8 +1,8 @@
 """One-variable rational Taylor series, as plain coefficient lists.
 
 All helpers work on lists [a_0, a_1, ...] of Fractions of a fixed length
-and are only used to seed characteristic-class expansions (Todd series,
-exponentials and their logarithms).
+and are only used to seed characteristic-class expansions (the Todd
+series and its logarithm).
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ from fractions import Fraction
 from math import factorial
 
 _F = Fraction
-
-
-def exp_coefficients(order):
-    """[1, 1, 1/2, 1/6, ...] up to x^order inclusive."""
-    return [_F(1, factorial(k)) for k in range(order + 1)]
 
 
 def series_inverse(coeffs):

@@ -26,19 +26,19 @@ def zero_rng():
 
 @pytest.fixture
 def drifting_point_sums(monkeypatch):
-    """Replace the per-point Chern-number sums by values that change from
+    """Replace the per-point localization sums by values that change from
     one evaluation point to the next, so the two-point check must fail."""
     from fractions import Fraction
     from itertools import count
 
-    from ellgenus import ci
+    from ellgenus.homog import HomogeneousSpace
 
     calls = count()
 
-    def drifting(space, section, monomials, point):
-        return [Fraction(next(calls))] * len(monomials)
+    def drifting(self, point, integrands, section=()):
+        return [Fraction(next(calls))] * len(integrands)
 
-    monkeypatch.setattr(ci, "_fixed_point_sums", drifting)
+    monkeypatch.setattr(HomogeneousSpace, "localization_sum", drifting)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from ellgenus.ci import (CompleteIntersection, chern_number, chern_numbers,
                          complete_intersection)
 from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import ConsistencyError, DegeneratePoint
-from ellgenus.homog import HomogeneousSpace, homogeneous_space
+from ellgenus.homog import HomogeneousSpace, draw_sum, homogeneous_space
 
 
 def _ci(space_spec, crossed, highest_weights):
@@ -130,7 +130,12 @@ def test_complete_intersection_in_grassmannian():
 
 def test_float_mode_matches_exact(quintic, rng):
     assert chern_number(quintic, [3], mode="float", rng=rng) == -200
-    raw = quintic.integrate_float_raw(quintic.chern_classes()[3], rng)
+    c3 = quintic.chern_classes()[3]
+    raw, = draw_sum(
+        lambda point: quintic.ambient.localization_sum(
+            point, [lambda moved, chern: (c3.evaluate(moved),)],
+            quintic.section),
+        quintic.ambient_dim, rng, exact=False)
     assert abs(raw + 200) < 1e-6
 
 
@@ -172,6 +177,38 @@ def test_chern_numbers_match_polynomial_integration(name):
     assert chern_numbers(manifold, parts) == expected
 
 
+PUSHFORWARD_CHECKED = {
+    "K3": ("A3", [1], [(4, 0, 0)]),
+    "quintic": ("A4", [1], [(5, 0, 0, 0)]),
+    "Gr(2,5)(1,1,3)": ("A4", [2], [(0, 1, 0, 0), (0, 1, 0, 0), (0, 3, 0, 0)]),
+    "G2 CY3": ("G2", [1, 2], [(2, 0), (0, 1), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", PUSHFORWARD_CHECKED)
+def test_integrate_matches_euler_class_pushforward(name, rng):
+    # int_X f localized with the weight e(E)/e(TM) equals int_M f_d * c_top(E)
+    # integrated over the ambient space as one polynomial
+    manifold = _ci(*PUSHFORWARD_CHECKED[name])
+    dim = manifold.dimension()
+    classes = manifold.chern_classes()
+    integrands = [manifold.todd_classes()[dim]]
+    for degrees in _partitions(dim):
+        f = CohomologyClass.one(manifold.ambient_dim)
+        for k in degrees:
+            f = f * classes[k]
+        integrands.append(f)
+
+    def pushed(f):
+        return f.graded_component(dim).times(manifold.euler_class())
+
+    for f in integrands:
+        assert manifold.integrate(f) == manifold.ambient.integrate(pushed(f))
+    top = classes[dim]
+    assert (manifold.integrate(top, mode="float", rng=rng)
+            == manifold.ambient.integrate(pushed(top), mode="float", rng=rng))
+
+
 def test_chern_numbers_validation(quintic):
     # lists whose degrees do not sum to the dimension, the empty one
     # included, are zero; the others are integrated in the same call
@@ -209,7 +246,8 @@ def test_disagreeing_points_raise_consistency_error(quintic,
 def test_polynomial_integration_checks_its_two_points(monkeypatch):
     drift = iter(range(100))
     monkeypatch.setattr(HomogeneousSpace, "localization_sum",
-                        lambda self, f, point: Fraction(next(drift)))
+                        lambda self, point, integrands, section=():
+                        [Fraction(next(drift))] * len(integrands))
     p2 = homogeneous_space("A2", [1])
     with pytest.raises(ConsistencyError):
         p2.integrate(p2.chern_classes()[2])
@@ -220,16 +258,21 @@ def test_consistency_check_survives_optimized_python():
         from fractions import Fraction
         from itertools import count
 
-        from ellgenus import ci, homogeneous_space
+        from ellgenus import HomogeneousSpace, ci, homogeneous_space
         from ellgenus.errors import ConsistencyError
 
         assert False, "assert statements are still active"
         calls = count()
-        ci._fixed_point_sums = (
-            lambda space, section, monomials, point:
-            [Fraction(next(calls))] * len(monomials))
+        HomogeneousSpace.localization_sum = (
+            lambda self, point, integrands, section=():
+            [Fraction(next(calls))] * len(integrands))
+        p2 = homogeneous_space("A2", [1])
         try:
-            ci.chern_number(homogeneous_space("A2", [1]), [2])
+            ci.chern_number(p2, [2])
+        except ConsistencyError:
+            print("ConsistencyError")
+        try:
+            p2.integrate(p2.chern_classes()[2])
         except ConsistencyError:
             print("ConsistencyError")
     """)
@@ -239,4 +282,4 @@ def test_consistency_check_survives_optimized_python():
                             capture_output=True, text=True, env=env,
                             timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ConsistencyError"
+    assert result.stdout.split() == ["ConsistencyError"] * 2

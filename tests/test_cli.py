@@ -203,6 +203,16 @@ def test_degenerate_sampling_exits_4(zero_rng):
     assert "integration failed" in err
 
 
+def test_overflowed_float_sum_exits_4():
+    # the 57 tangent roots of E8[8] at a float point overflow their product
+    argv = ["chern", "--space", "E8[8]", "--degrees", "57", "--mode", "float",
+            "--seed", "1"]
+    code, out, err = run(argv)
+    assert code == 4
+    assert out == ""
+    assert "integration failed: no stable rational near nan" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["chern", "--space", "A4[3]", "--degrees", "3,3"],
     ["chi-y", "--space", "A3[1]", "--bundle", "4,0,0"],

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.errors import DegeneratePoint
-from ellgenus.homog import HomogeneousSpace, homogeneous_space
+from ellgenus.errors import DegeneratePoint, FloatUnstable
+from ellgenus.homog import (HomogeneousSpace, draw_sum, homogeneous_space,
+                            round_float)
 from ellgenus.roots import Weight, parabolic
 
 GR35_C2 = ("x0^2 + 4*x0*x1 + x1^2 + 4*x0*x2 + 4*x1*x2 + x2^2 - 5*x0*x3 "
@@ -48,11 +49,21 @@ def test_grassmannian_listing_and_numbers():
 def test_grassmannian_float_mode(rng):
     gr = homogeneous_space("A4", [3])
     c1 = gr.chern_classes()[1]
-    raw = gr.integrate_float_raw(c1.power(6), rng)
+    top = c1.power(6)
+    raw, = draw_sum(
+        lambda point: gr.localization_sum(
+            point, [lambda moved, chern: (top.evaluate(moved),)]),
+        gr.ambient_dim, rng, exact=False)
     assert isinstance(raw, float)
     assert abs(raw - 78125) < 1e-3
     value = gr.integrate(c1.power(6), mode="float", rng=rng)
     assert value == Fraction(78125)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_round_float_refuses_non_finite_values(value):
+    with pytest.raises(FloatUnstable):
+        round_float(value)
 
 
 def test_fixed_point_counts():
@@ -77,7 +88,9 @@ def test_localization_identities(spec, crossed):
 def test_localization_sum_of_constant_vanishes(rng):
     space = homogeneous_space("A3", [1])
     point = Weight([rng.randint(-10**6, 10**6) for _ in range(4)])
-    assert space.localization_sum(CohomologyClass.one(4), point) == 0
+    one = CohomologyClass.one(4)
+    assert space.localization_sum(
+        point, [lambda moved, chern: (one.evaluate(moved),)]) == [0]
 
 
 def test_integration_selects_top_degree_component():
