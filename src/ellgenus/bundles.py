@@ -15,7 +15,7 @@ from math import factorial
 from .cohomology import CohomologyClass
 from .errors import BaseMismatch, WedgeTooLarge
 from .roots import Weight
-from .taylor import todd_coefficients
+from .taylor import _elementary, todd_coefficients
 
 _F = Fraction
 
@@ -90,16 +90,13 @@ class EquivariantVectorBundle:
 
     def total_chern_class(self):
         """prod (1 + x_w), truncated at the base dimension."""
-        dim = self.base.dimension()
-        total = CohomologyClass.one(self.base.ambient_dim)
-        for form in self._linear_forms():
-            total = total.times(CohomologyClass.one(self.base.ambient_dim) + form,
-                                dim)
-        return total
+        return sum(self.chern_classes())
 
     def chern_classes(self):
-        total = self.total_chern_class()
-        return [total.graded_component(k) for k in range(self.base.dimension() + 1)]
+        """[c_0, ..., c_d]: the elementary symmetric functions of the
+        linear forms, up to the base dimension."""
+        return _elementary(self._linear_forms(), self.base.dimension(),
+                           zero=CohomologyClass.zero(self.base.ambient_dim))
 
     def chern_character(self):
         """[ch_0, ..., ch_d]: graded pieces of sum of exp(x_w)."""

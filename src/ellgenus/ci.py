@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import CohomologyClass
 from .errors import NegativeDimension
-from .homog import HomogeneousSpace, _graded_division, localize
+from .homog import HomogeneousSpace, localize
+from .taylor import _graded_division
 
 _F = Fraction
 
@@ -38,7 +38,6 @@ class CompleteIntersection:
         self._dim = dim
         self._chern = None
         self._todd = None
-        self._euler_class = None
 
     def __repr__(self):
         return (f"CompleteIntersection(dim={self._dim}, "
@@ -72,14 +71,7 @@ class CompleteIntersection:
 
     def euler_class(self):
         """Top Chern class of the section bundle, c_rank(E)."""
-        if self._euler_class is None:
-            n = self.ambient.ambient_dim
-            total = CohomologyClass.one(n)
-            for w in self.bundle.weights:
-                total = total.times(CohomologyClass.linear_form(w),
-                                    self.ambient.dimension())
-            self._euler_class = total
-        return self._euler_class
+        return self.bundle.chern_classes()[self.bundle.rank]
 
     integrate = HomogeneousSpace.integrate
 

@@ -4,7 +4,9 @@ Cohomology classes of a homogeneous space are represented by polynomial
 lifts in the Chern roots of the ambient torus; they are never reduced
 modulo relations, since every computation ends in evaluation at explicit
 points.  Coefficients are exact rationals (floats appear only when a
-class is evaluated at a float point).
+class is evaluated at a float point).  The same type serves the
+symmetric-function bookkeeping of genus: a polynomial in the elementary
+symmetric functions e_1..e_d is a class in d variables.
 """
 
 from __future__ import annotations

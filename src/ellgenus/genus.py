@@ -42,8 +42,9 @@ from functools import lru_cache
 from math import factorial
 
 from .ci import chern_number, chern_numbers
+from .cohomology import CohomologyClass
 from .errors import TooLarge
-from .qseries import LaurentY, QYSeries
+from .qseries import LaurentY, QYSeries, _product_series, _rows
 from .render import _join, _q_part, _term_body, _y_part
 from .roots import MAX_CHERN_MONOMIALS
 from .taylor import log_todd_coefficients
@@ -89,13 +90,8 @@ def _log_coefficients(dim, k):
 def _g0_power(dim, k):
     """(G(0)/(1-y))^dim as a QYSeries to q^k: (prod_{n<=k}
     (1-yq^n)(1-y^{-1}q^n)/(1-q^n)^2)^dim."""
-    base = QYSeries.one(2 * k)
-    for n in range(1, k + 1):
-        for unit in (LaurentY.y_pow(1), LaurentY.y_pow(-1)):
-            base = base * QYSeries.from_q_dict(k, {0: 1, n: -unit})
-        base = base * QYSeries.from_q_dict(
-            k, {n * j: j + 1 for j in range(k // n + 1)})
-    return base ** dim
+    factors = ((1, 1), (-1, 1), (0, -2))  # (s, e): (1 - q^n y^s)^e
+    return _product_series(_rows(LaurentY.const(1), k), factors) ** dim
 
 
 def _partitions(total, largest):
@@ -121,41 +117,23 @@ def _partition_count(n):
 
 
 # --------------------------------------------------------------------------
-# symmetric-function bookkeeping: polynomials in p_1..p_d or e_1..e_d are
-# dicts mapping exponent tuples (length d, weighted degree <= d) to values
-
-
-def _weighted(exponents):
-    return sum((m + 1) * e for m, e in enumerate(exponents))
-
-
-def _poly_mul(a, b, dim):
-    out = {}
-    for ea, va in a.items():
-        wa = _weighted(ea)
-        for eb, vb in b.items():
-            if wa + _weighted(eb) > dim:
-                continue
-            e = tuple(x + y for x, y in zip(ea, eb))
-            prod = va * vb
-            out[e] = out[e] + prod if e in out else prod
-    return out
+# symmetric-function bookkeeping: a polynomial in e_1..e_d is a
+# CohomologyClass in d variables, variable m-1 standing for e_m
 
 
 @lru_cache(maxsize=None)
 def power_sum_in_elementary(m, dim):
-    """p_m as a polynomial in e_1..e_dim (exponent-tuple dict), by Newton's
-    identity p_m = sum_{i<m} (-1)^{i-1} e_i p_{m-i} + (-1)^{m-1} m e_m."""
+    """p_m as a CohomologyClass in dim variables, variable i-1 standing for
+    e_i, by Newton's identity
+    p_m = sum_{i<m} (-1)^{i-1} e_i p_{m-i} + (-1)^{m-1} m e_m."""
     if not 1 <= m <= dim:
         raise ValueError("power sum index out of range")
-    unit = lambda i: tuple(1 if j == i - 1 else 0 for j in range(dim))
-    total = {unit(m): _F((-1) ** (m - 1) * m)}
+    e = lambda i: CohomologyClass.linear_form([int(j == i - 1) for j in range(dim)])
+    total = e(m) * ((-1) ** (m - 1) * m)
     for i in range(1, m):
         rec = power_sum_in_elementary(m - i, dim)
-        sign = _F((-1) ** (i - 1))
-        for e, c in _poly_mul({unit(i): sign}, rec, dim).items():
-            total[e] = total.get(e, _F(0)) + c
-    return {e: c for e, c in total.items() if c}
+        total = total + e(i).times(rec) * (-1) ** (i - 1)
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -258,21 +236,20 @@ def elliptic_genus_chernnum(dim, k):
                        f"Chern monomials, more than the limit of "
                        f"{MAX_CHERN_MONOMIALS}")
     b = _log_coefficients(dim, k)
-    zero = tuple(0 for _ in range(dim))
     # the weighted-degree-dim part of exp(sum_m b_m p_m), one term
     # prod_m (b_m p_m)^{e_m}/e_m! per partition, in elementary symmetric
     # polynomials
     in_e = {}
     for partition in _partitions(dim, dim):
         series = QYSeries.one(2 * k)
-        conv = {zero: _F(1)}
+        conv = CohomologyClass.one(dim)
         for m, e in enumerate(partition, start=1):
             if not e:
                 continue
             series = series * b[m] ** e * _F(1, factorial(e))
             for _ in range(e):
-                conv = _poly_mul(conv, power_sum_in_elementary(m, dim), dim)
-        for emon, coeff in conv.items():
+                conv = conv.times(power_sum_in_elementary(m, dim))
+        for emon, coeff in conv.c.items():
             term = series * coeff
             in_e[emon] = in_e[emon] + term if emon in in_e else term
     g0d = _g0_power(dim, k)

@@ -6,17 +6,20 @@ ambient coordinates.  Every integral, over G/P or over a complete
 intersection in it, is the Atiyah-Bott fixed-point sum of
 localization_sum: at each Weyl coset representative w the point p moves
 to A_w p, the tangent Chern roots there are numbers, c(TX) is their
-elementary symmetric functions (divided by those of the section bundle E
-for a complete intersection), and every integrand adds its value times
+elementary symmetric functions (taylor._elementary, divided by those of
+the section bundle E for a complete intersection with
+taylor._graded_division), and every integrand adds its value times
 e(E)/e(TM) to its own total.  Chern numbers multiply entries of c(TX);
 integrate(f) evaluates the polynomial f at A_w p.
 
 The sum is a constant function of the point, so localize, the one draw
 protocol, evaluates it in exact mode at a random integer point and at a
 second independent point that must give the same value (ConsistencyError
-otherwise), and in float mode at one random real point rounded to a
-nearby small-denominator rational; no rational function is simplified
-symbolically.
+otherwise), and in float mode at one random real point in [-1, 1]^n
+rounded to a nearby small-denominator rational; no rational function is
+simplified symbolically.  Every top-degree sum is homogeneous of degree 0
+in the point, so the float scale is free, and coordinates of size 1 keep
+e(TM), a product of dim M roots, inside the float range.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from math import isfinite, prod
 from . import bundles
 from .errors import ConsistencyError, DegeneratePoint, FloatUnstable
 from .roots import ParabolicSubgroup
+from .taylor import _elementary, _graded_division
 
 _F = Fraction
 _POINT_BOUND = 10 ** 6
@@ -156,32 +160,10 @@ def localize(manifold, integrands, mode="exact", rng=None):
     return two_point_sum(point_sum, space.ambient_dim, rng)
 
 
-def _elementary(values, max_degree):
-    """[e_0, ..., e_max_degree] of a list of numbers."""
-    e = [1] + [0] * max_degree
-    for i, x in enumerate(values):
-        for k in range(min(i + 1, max_degree), 0, -1):
-            e[k] += e[k - 1] * x
-    return e
-
-
-def _graded_division(numer, denom, max_degree):
-    """Quotient list [t_0, ..., t_max_degree] with (sum denom_j) *
-    (sum t_k) = sum numer_k through max_degree, for lists of homogeneous
-    classes or of numbers; denom_0 must be 1 and both lists must reach
-    max_degree."""
-    out = []
-    for k in range(max_degree + 1):
-        t = numer[k]
-        for j in range(1, k + 1):
-            t = t - denom[j] * out[k - j]
-        out.append(t)
-    return out
-
-
 def draw_sum(point_sum, n, rng, exact=True):
     """point_sum at the first usable random point with n coordinates:
-    integers (as Fractions) in exact mode, uniform floats otherwise.  A
+    integers (as Fractions) in exact mode, uniform floats in [-1, 1]
+    otherwise, where a product of many roots cannot overflow.  A
     point on a root hyperplane (DegeneratePoint) is redrawn, at most
     _MAX_DRAWS times."""
     for _ in range(_MAX_DRAWS):
@@ -189,8 +171,7 @@ def draw_sum(point_sum, n, rng, exact=True):
             point = tuple(_F(rng.randint(-_POINT_BOUND, _POINT_BOUND))
                           for _ in range(n))
         else:
-            point = tuple(rng.uniform(-_POINT_BOUND, _POINT_BOUND)
-                          for _ in range(n))
+            point = tuple(rng.uniform(-1, 1) for _ in range(n))
         try:
             return point_sum(point)
         except DegeneratePoint:

@@ -1,7 +1,8 @@
 """Weak Jacobi forms of even weight and integral or half-integral index.
 
 Generators over the ring of modular forms, each built from integral
-products (Eichler-Zagier, *The Theory of Jacobi Forms*, Thm 9.3), with
+products by qseries._product_series (Eichler-Zagier, *The Theory of
+Jacobi Forms*, Thm 9.3), with
 P = prod_n (1 - q^n y)^2 (1 - q^n y^-1)^2 / (1 - q^n)^4:
 
 * ``phi_m2_1``  weight -2, index 1:  (y - 2 + y^-1) P
@@ -24,37 +25,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OddWeight
-from .qseries import LaurentY, QYSeries, eisenstein
+from .qseries import LaurentY, QYSeries, _product_series, _rows, eisenstein
 
 # (s, e): the factor (1 - q^n y^s)^e for every n >= 1
 _P_FACTORS = ((1, 2), (-1, 2), (0, -4))
 _HALF_FACTORS = ((2, 1), (-2, 1), (1, -1), (-1, -1))
 _Y_MINUS_2 = LaurentY({-1: 1, 0: -2, 1: 1})  # y - 2 + y^-1
-
-
-def _product_series(rows, factors):
-    """QYSeries of rows (row k: the LaurentY coefficient of q^k) times
-    prod_{n>=1} prod_{(s, e) in factors} (1 - q^n y^s)^e, truncated after
-    q^(len(rows) - 1).
-
-    Each factor is applied in place: multiplying by (1 - q^n y^s) is the
-    descending pass row[k] -= y^s row[k-n], dividing by it the ascending
-    pass row[k] += y^s row[k-n].
-    """
-    prec = len(rows) - 1
-    for n in range(1, prec + 1):
-        for s, e in factors:
-            ks = range(prec, n - 1, -1) if e > 0 else range(n, prec + 1)
-            for _ in range(abs(e)):
-                for k in ks:
-                    step = rows[k - n].shift(s)
-                    rows[k] = rows[k] - step if e > 0 else rows[k] + step
-    return QYSeries(2 * prec, {2 * k: row for k, row in enumerate(rows)})
-
-
-def _rows(q0, prec):
-    """q-rows 0..prec of the series q0 + O(q^(prec+1))."""
-    return [q0] + [LaurentY() for _ in range(prec)]
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,9 @@ carrying the coefficient of q^(k/2), because ``QYSeries(prec2, coeffs)``
 with doubled keys is the public constructor form that callers build
 series with; odd keys are rejected.  A series remembers its precision
 (the largest retained doubled exponent).  Arithmetic truncates to the
-smaller operand precision.
+smaller operand precision; division is one long-division pass over the
+q-rows.  Products prod_n (1 - q^n y^s)^e (eta, the Jacobi generators and
+the genus prefactor) are built by _product_series, in place on the rows.
 
 >>> one = LaurentY.const(1)
 >>> s = QYSeries(6, {0: one, 2: -one})        # 1 - q at precision q^3
@@ -155,6 +157,9 @@ class LaurentY:
         return sum(self.c.values(), _ZERO)
 
     def evaluate(self, value):
+        """Value at y = value: exact for int/Fraction y, float for float y."""
+        if isinstance(value, int):
+            value = Fraction(value)
         if not self.c:
             return _ZERO if isinstance(value, Fraction) else 0.0
         if not value and min(self.c) < 0:
@@ -349,31 +354,18 @@ class QYSeries:
             return QYSeries.zero(max(prec2, 0))
         e0, c0 = lead
         inv_lead = LaurentY.y_pow(-e0, 1 / c0)
-        # shift valuations out, then invert the unit-lead series
+        # long division with the valuations shifted out: quotient row k is
+        # inv_lead * (a_k - sum_{0<j<=k} b_j quotient_{k-j})
         a = {k - v: val for k, val in self.c.items() if k - v <= prec2}
-        b = {k - v: val for k, val in other.c.items() if k - v <= prec2}
-        inv = {0: inv_lead}
-        for k in range(2, prec2 + 1, 2):
-            acc = None
-            for j, bj in b.items():
-                if 0 < j <= k:
-                    t = bj * inv.get(k - j, LaurentY())
-                    acc = t if acc is None else acc + t
-            if acc is not None and acc:
-                inv[k] = -(inv_lead * acc)
+        b = [(k - v, val) for k, val in other.c.items() if 0 < k - v <= prec2]
         c = {}
-        for k1, v1 in a.items():
-            for k2, v2 in inv.items():
-                k = k1 + k2
-                if k > prec2:
-                    continue
-                w = c.get(k)
-                p = v1 * v2
-                w = p if w is None else w + p
-                if w:
-                    c[k] = w
-                else:
-                    c.pop(k, None)
+        for k in range(0, prec2 + 1, 2):
+            acc = a.get(k, LaurentY())
+            for j, bj in b:
+                if j <= k and k - j in c:
+                    acc = acc - bj * c[k - j]
+            if acc:
+                c[k] = inv_lead * acc
         out = QYSeries.__new__(QYSeries)
         out.prec2, out.c = prec2, c
         return out
@@ -402,17 +394,38 @@ class QYSeries:
         return f"QYSeries({self})"
 
 
+def _product_series(rows, factors):
+    """QYSeries of rows (row k: the LaurentY coefficient of q^k) times
+    prod_{n>=1} prod_{(s, e) in factors} (1 - q^n y^s)^e, truncated after
+    q^(len(rows) - 1).
+
+    Each factor is applied in place: multiplying by (1 - q^n y^s) is the
+    descending pass row[k] -= y^s row[k-n], dividing by it the ascending
+    pass row[k] += y^s row[k-n].
+    """
+    prec = len(rows) - 1
+    for n in range(1, prec + 1):
+        for s, e in factors:
+            ks = range(prec, n - 1, -1) if e > 0 else range(n, prec + 1)
+            for _ in range(abs(e)):
+                for k in ks:
+                    step = rows[k - n].shift(s)
+                    rows[k] = rows[k] - step if e > 0 else rows[k] + step
+    return QYSeries(2 * prec, {2 * k: row for k, row in enumerate(rows)})
+
+
+def _rows(q0, prec):
+    """q-rows 0..prec of the series q0 + O(q^(prec+1))."""
+    return [q0] + [LaurentY() for _ in range(prec)]
+
+
 def eta_product(prec):
     """prod_{n>=1} (1 - q^n) to order q^prec, the 24th-root-free eta.
 
     >>> print(eta_product(5))
     1 - q - q^2 + q^5 + O(q^6)
     """
-    prec2 = 2 * prec
-    out = QYSeries.one(prec2)
-    for n in range(1, prec + 1):
-        out = out * QYSeries(prec2, {0: _laurent_one(), 2 * n: LaurentY.const(-1)})
-    return out
+    return _product_series(_rows(_laurent_one(), prec), ((0, 1),))
 
 
 def _sigma(k, n):

@@ -1,8 +1,13 @@
-"""One-variable rational Taylor series, as plain coefficient lists.
+"""Coefficient lists in one grading variable.
 
-All helpers work on lists [a_0, a_1, ...] of Fractions of a fixed length
-and are only used to seed characteristic-class expansions (the Todd
-series and its logarithm).
+A list [a_0, a_1, ...] holds the graded pieces of a truncated series; its
+entries are numbers (Fractions, or floats at a float point) or
+homogeneous classes of any type with +, - and *.  The package uses two
+operations on such lists everywhere: the elementary symmetric functions
+of a list of roots (Chern classes, as classes or as numbers at a fixed
+point) and graded division (adjunction c(TX) = c(TM)/c(E), and the Todd
+and log-Todd series).  This module imports nothing from the package, so
+every layer can use it.
 """
 
 from __future__ import annotations
@@ -13,33 +18,39 @@ from math import factorial
 _F = Fraction
 
 
-def series_inverse(coeffs):
-    """Multiplicative inverse of a series with nonzero constant term."""
-    if not coeffs or not coeffs[0]:
-        raise ZeroDivisionError("series has no constant term")
-    n = len(coeffs)
-    inv = [_F(0)] * n
-    inv[0] = 1 / _F(coeffs[0])
-    for k in range(1, n):
-        s = sum(coeffs[j] * inv[k - j] for j in range(1, k + 1) if j < n)
-        inv[k] = -inv[0] * s
-    return inv
+def _elementary(values, max_degree, zero=0):
+    """[e_0, ..., e_max_degree] of a list of numbers or of linear classes;
+    `zero` is the zero of their type, so e_0 is zero + 1."""
+    e = [zero + 1] + [zero] * max_degree
+    for i, x in enumerate(values):
+        for k in range(min(i + 1, max_degree), 0, -1):
+            e[k] += e[k - 1] * x
+    return e
+
+
+def _graded_division(numer, denom, max_degree):
+    """Quotient list [t_0, ..., t_max_degree] with (sum denom_j) *
+    (sum t_k) = sum numer_k through max_degree, for lists of homogeneous
+    classes or of numbers; denom_0 must be 1 and both lists must reach
+    max_degree."""
+    out = []
+    for k in range(max_degree + 1):
+        t = numer[k]
+        for j in range(1, k + 1):
+            t = t - denom[j] * out[k - j]
+        out.append(t)
+    return out
 
 
 def series_log(coeffs):
-    """log of a series with constant term 1, via termwise integration of f'/f."""
+    """log of a series with constant term 1, via termwise integration of
+    f'/f, the graded quotient of the derivative by the series."""
     if not coeffs or coeffs[0] != 1:
         raise ValueError("logarithm needs constant term 1")
     n = len(coeffs)
     deriv = [(k + 1) * coeffs[k + 1] for k in range(n - 1)]
-    ratio_full = [_F(0)] * n
-    inv = series_inverse(coeffs)
-    for k in range(n - 1):
-        ratio_full[k] = sum(deriv[j] * inv[k - j] for j in range(k + 1))
-    out = [_F(0)] * n
-    for k in range(1, n):
-        out[k] = ratio_full[k - 1] / k
-    return out
+    ratio = _graded_division(deriv, coeffs, n - 2)
+    return [_F(0)] + [ratio[k - 1] / k for k in range(1, n)]
 
 
 def todd_coefficients(order):
@@ -48,9 +59,9 @@ def todd_coefficients(order):
     >>> [str(c) for c in todd_coefficients(4)]
     ['1', '1/2', '1/12', '0', '-1/720']
     """
-    # (1 - e^{-x}) / x = sum_{k>=0} (-1)^k x^k / (k+1)!
+    # 1 divided by (1 - e^{-x}) / x = sum_{k>=0} (-1)^k x^k / (k+1)!
     base = [_F((-1) ** k, factorial(k + 1)) for k in range(order + 1)]
-    return series_inverse(base)
+    return _graded_division([_F(1)] + [_F(0)] * order, base, order)
 
 
 def log_todd_coefficients(order):

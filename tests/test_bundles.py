@@ -8,6 +8,7 @@ import pytest
 
 from ellgenus.bundles import (EquivariantVectorBundle,
                               completely_reducible_bundle, irreducible_bundle)
+from ellgenus.ci import CompleteIntersection
 from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import BaseMismatch, WedgeTooLarge
 from ellgenus.homog import homogeneous_space
@@ -187,3 +188,79 @@ def test_chern_character_top_recovers_integrals(p4):
         for i in range(5):
             total = total + ch[i].times(td[4 - i], max_degree=4)
         assert p4.integrate(total) == comb(k + 4, 4)
+
+
+# --- Chern classes against the product loops they replaced -------------------
+
+def _product_chern_classes(bundle):
+    """Test-only reference: c(E) = prod_w (1 + x_w) truncated at the base
+    dimension, as [c_0, ..., c_d] and as the total class."""
+    dim, n = bundle.base.dimension(), bundle.base.ambient_dim
+    total = CohomologyClass.one(n)
+    for w in bundle.weights:
+        total = total.times(CohomologyClass.one(n) + CohomologyClass.linear_form(w),
+                            dim)
+    return [total.graded_component(k) for k in range(dim + 1)], total
+
+
+def _product_euler_class(manifold):
+    """Test-only reference: the product of the section bundle's linear
+    forms, truncated at the ambient dimension."""
+    total = CohomologyClass.one(manifold.ambient_dim)
+    for w in manifold.bundle.weights:
+        total = total.times(CohomologyClass.linear_form(w),
+                            manifold.ambient.dimension())
+    return total
+
+
+def _tangent(spec, crossed):
+    return lambda: homogeneous_space(spec, crossed).tangent_bundle()
+
+
+def _on_p4(build):
+    def bundle():
+        p4 = homogeneous_space("A4", [1])
+        o = lambda k: completely_reducible_bundle(p4, [(k, 0, 0, 0)])
+        return build(p4.tangent_bundle(), o)
+    return bundle
+
+
+BUNDLES = {
+    "T A4[3]": _tangent("A4", [3]),
+    "T B3[1,3]": _tangent("B3", [1, 3]),
+    "T G2[1,2]": _tangent("G2", [1, 2]),
+    "O(2)+O(3) on P4": _on_p4(lambda t, o: o(2) + o(3)),
+    "T+T* on P4": _on_p4(lambda t, o: t + t.dual()),
+    "T*O(1) on P4": _on_p4(lambda t, o: t * o(1)),
+    "T*T on P4": _on_p4(lambda t, o: t * t),
+    "(T+O(1))*T* on P4": _on_p4(lambda t, o: (t + o(1)) * t.dual()),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLES)
+def test_chern_classes_match_product_loop(name):
+    bundle = BUNDLES[name]()
+    classes, total = _product_chern_classes(bundle)
+    assert bundle.chern_classes() == classes
+    assert bundle.total_chern_class() == total
+
+
+SECTIONS = {
+    "K3": ("A3", [1], [(4, 0, 0)]),
+    "quintic": ("A4", [1], [(5, 0, 0, 0)]),
+    "Gr(2,5)(1,1,3)": ("A4", [2], [(0, 1, 0, 0), (0, 1, 0, 0), (0, 3, 0, 0)]),
+    "G2 CY3": ("G2", [1, 2], [(2, 0), (0, 1), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", SECTIONS)
+def test_section_bundle_classes_match_product_loops(name):
+    spec, crossed, highest_weights = SECTIONS[name]
+    space = homogeneous_space(spec, crossed)
+    manifold = CompleteIntersection(
+        completely_reducible_bundle(space, highest_weights))
+    classes, total = _product_chern_classes(manifold.bundle)
+    assert manifold.bundle.chern_classes() == classes
+    assert manifold.bundle.total_chern_class() == total
+    assert manifold.euler_class() == _product_euler_class(manifold)
+    assert manifold.euler_class() == classes[manifold.bundle.rank]

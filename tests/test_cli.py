@@ -203,8 +203,23 @@ def test_degenerate_sampling_exits_4(zero_rng):
     assert "integration failed" in err
 
 
-def test_overflowed_float_sum_exits_4():
-    # the 57 tangent roots of E8[8] at a float point overflow their product
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_float_sum_on_e8_stays_finite(seed):
+    # e(TM) of E8[8] is a product of 57 tangent roots; float points in
+    # [-1, 1] keep it in range, and the Euler number is |W^P| = 240
+    argv = ["chern", "--space", "E8[8]", "--degrees", "57", "--mode", "float",
+            "--seed", seed]
+    assert run(argv) == (0, "240\n", "")
+
+
+def test_overflowed_float_sum_exits_4(monkeypatch):
+    # an overflowed float sum is NaN; it is refused, not printed
+    from ellgenus.homog import HomogeneousSpace
+
+    def overflowed(self, point, integrands, section=()):
+        return [float("nan")] * len(integrands)
+
+    monkeypatch.setattr(HomogeneousSpace, "localization_sum", overflowed)
     argv = ["chern", "--space", "E8[8]", "--degrees", "57", "--mode", "float",
             "--seed", "1"]
     code, out, err = run(argv)

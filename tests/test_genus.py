@@ -15,8 +15,8 @@ from ellgenus.ci import CompleteIntersection, chern_number
 from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import TooLarge
 from ellgenus.genus import (ChernSymbolSeries, _partition_count, _partitions,
-                            _poly_mul, chi_y, elliptic_genus,
-                            elliptic_genus_chernnum, power_sum_in_elementary)
+                            chi_y, elliptic_genus, elliptic_genus_chernnum,
+                            power_sum_in_elementary)
 from ellgenus.homog import homogeneous_space
 from ellgenus.jacobi import basis_half_integral, linear_fit
 from ellgenus.qseries import LaurentY, QYSeries
@@ -403,7 +403,7 @@ def test_power_sums_in_elementary_evaluates_on_roots(roots, m):
             e[i] = e[i] + x * e[i - 1]
     poly = power_sum_in_elementary(m, dim)
     value = Fraction(0)
-    for exps, coeff in poly.items():
+    for exps, coeff in poly.c.items():
         term = coeff
         for i, a in enumerate(exps):
             term *= e[i + 1] ** a
@@ -412,20 +412,19 @@ def test_power_sums_in_elementary_evaluates_on_roots(roots, m):
 
 
 def elementary_in_power_sums(m, dim):
-    """e_m in terms of p_1..p_dim, the inverse Newton recurrence
+    """e_m as a CohomologyClass in p_1..p_dim (variable i-1 standing for
+    p_i), the inverse Newton recurrence
     e_m = (1/m) sum_{i=1}^m (-1)^{i-1} e_{m-i} p_i."""
     if m == 0:
-        return {tuple(0 for _ in range(dim)): Fraction(1)}
+        return CohomologyClass.one(dim)
     if not 1 <= m <= dim:
         raise ValueError("elementary index out of range")
-    unit = lambda i: tuple(1 if j == i - 1 else 0 for j in range(dim))
-    total = {}
+    total = CohomologyClass.zero(dim)
     for i in range(1, m + 1):
+        p_i = CohomologyClass.linear_form([int(j == i - 1) for j in range(dim)])
         rec = elementary_in_power_sums(m - i, dim)
-        sign = Fraction((-1) ** (i - 1), m)
-        for e, c in _poly_mul({unit(i): sign}, rec, dim).items():
-            total[e] = total.get(e, Fraction(0)) + c
-    return {e: c for e, c in total.items() if c}
+        total = total + p_i.times(rec) * Fraction((-1) ** (i - 1), m)
+    return total
 
 
 @settings(max_examples=40, deadline=None)
@@ -437,7 +436,7 @@ def test_elementary_in_power_sums_evaluates_on_roots(roots, m):
     p = [sum(Fraction(x) ** j for x in roots) for j in range(dim + 1)]
     poly = elementary_in_power_sums(m, dim)
     value = Fraction(0)
-    for exps, coeff in poly.items():
+    for exps, coeff in poly.c.items():
         term = coeff
         for i, a in enumerate(exps):
             term *= p[i + 1] ** a

@@ -2,6 +2,7 @@
 
 import doctest
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ import ellgenus.qseries
 import ellgenus.taylor
 from ellgenus.errors import DivisionByNonUnit, PrecisionZero
 from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product
+from ellgenus.taylor import log_todd_coefficients, todd_coefficients
 from theta_reference import theta
 
 PREC = 24
@@ -157,6 +159,20 @@ def test_division_inverts_multiplication(a, u):
     assert (a / u) * u == a
 
 
+@settings(max_examples=40, deadline=None)
+@given(qys_st, unit_st, st.sampled_from([2, 4]))
+def test_division_by_q_shifted_units(a, u, v):
+    # the divisor q^(v/2) u has doubled valuation v, and the quotient keeps
+    # the precision min(prec2) - v
+    shifted = u * QYSeries(8, {v: LaurentY.const(1)})
+    quotient = (a * shifted) / shifted
+    assert quotient.prec2 == 8 - v
+    assert quotient == a.truncate(8 - v)
+    quotient = (a * shifted).truncate(6) / shifted
+    assert quotient.prec2 == 6 - v
+    assert quotient == a.truncate(6 - v)
+
+
 @settings(max_examples=30, deadline=None)
 @given(laurent_st, st.integers(0, 3))
 def test_laurent_power_is_repeated_product(a, n):
@@ -170,6 +186,10 @@ def test_laurent_helpers():
     a = LaurentY({-1: 2, 0: -3, 2: Fraction(1, 2)})
     assert a.at_one() == 2 - 3 + Fraction(1, 2)
     assert a.evaluate(2) == Fraction(2, 2) - 3 + Fraction(4, 2)
+    # exact for int and Fraction y, float for float y
+    exact = LaurentY({-1: 1, 0: 2}).evaluate(3)
+    assert isinstance(exact, Fraction) and exact == Fraction(7, 3)
+    assert isinstance(LaurentY({-1: 1, 0: 2}).evaluate(3.0), float)
     assert a.shift(3) == LaurentY({2: 2, 3: -3, 5: Fraction(1, 2)})
     assert a.reciprocal_y() == LaurentY({1: 2, 0: -3, -2: Fraction(1, 2)})
     assert a.scale_exponents(2) == LaurentY({-2: 2, 0: -3, 4: Fraction(1, 2)})
@@ -186,6 +206,26 @@ def test_precision_zero_coefficient_access():
         s.coefficient(1)
     with pytest.raises(PrecisionZero):
         eta_product(3).coefficient(4)
+
+
+def _bernoulli(n):
+    """B_0..B_n with B_1 = -1/2, from sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def test_todd_and_log_todd_match_bernoulli_closed_forms():
+    # x/(1-e^{-x}) = sum B+_n x^n/n! with B+_n = (-1)^n B_n, and its log
+    # is x/2 - sum_{n>=2 even} B_n x^n/(n n!)
+    order = 20
+    b = _bernoulli(order)
+    assert todd_coefficients(order) == [(-1) ** n * b[n] / factorial(n)
+                                        for n in range(order + 1)]
+    log_todd = [0, Fraction(1, 2)] + [0 if n % 2 else -b[n] / (n * factorial(n))
+                                      for n in range(2, order + 1)]
+    assert log_todd_coefficients(order) == log_todd
 
 
 def test_division_by_nonunit_raises():
