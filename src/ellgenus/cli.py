@@ -26,6 +26,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .bundles import completely_reducible_bundle
 from .ci import CompleteIntersection, chern_number
@@ -110,7 +111,10 @@ def _int_list(text, what):
         raise SpecError(f"{what} must be comma-separated integers, got {text!r}")
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: it keeps no state
+    between parses."""
     parser = argparse.ArgumentParser(
         prog="ellgenus",
         description="Elliptic genera of homogeneous spaces and complete "

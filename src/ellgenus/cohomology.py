@@ -148,12 +148,14 @@ class CohomologyClass:
         return self.__pow__(k, max_degree)
 
     def evaluate(self, point):
-        """Value at a point; exact for Fraction coordinates, float otherwise."""
+        """Value at a point: an exact Fraction for int and Fraction
+        coordinates, a float once any coordinate is a float."""
         if len(point) != self.n:
             raise ValueError("point has the wrong dimension")
-        total = _F(0) if all(isinstance(p, Fraction) for p in point) else 0.0
+        exact = not any(isinstance(p, float) for p in point)
+        total = _F(0) if exact else 0.0
         for e, c in self.c.items():
-            term = c if isinstance(total, Fraction) else float(c)
+            term = c if exact else float(c)
             for p, k in zip(point, e):
                 if k:
                     term = term * p ** k

@@ -1,7 +1,9 @@
-"""Plain-text formatting of Laurent polynomials and q-expansions.
+"""Plain-text formatting of Laurent polynomials, q-expansions and Dynkin
+diagrams.
 
 One renderer serves the library reprs, the CLI text mode and the CLI JSON
-round-trip, so all three agree byte for byte.
+round-trip, so all three agree byte for byte.  It imports nothing from
+the package, so every module can render through it.
 """
 
 from __future__ import annotations
@@ -103,3 +105,53 @@ def format_series_payload(term_list, order_q):
     terms = [(2 * t["q"], parse_laurent_payload(t["coeffs"])) for t in term_list]
     terms.sort()
     return format_series(terms, order_q)
+
+
+def format_dynkin(letter, rank, crossed=()):
+    """Dynkin diagram of type letter+rank in Bourbaki numbering, the crossed
+    nodes drawn as X and the others as O, with a line naming them."""
+    marks = set(crossed)
+
+    def node(i):
+        return "X" if i in marks else "O"
+
+    header = []
+    if letter in "ABCFG":
+        chain = list(range(1, rank + 1))
+        if letter == "A":
+            edges = ["---"] * (rank - 1)
+        elif letter == "B":
+            edges = ["---"] * (rank - 2) + ["=>="]
+        elif letter == "C":
+            edges = ["---"] * (rank - 2) + ["=<="]
+        elif letter == "F":
+            edges = ["---", "=>=", "---"]
+        else:
+            edges = ["=<="]
+            header = ["  3"]
+        branch = None
+    elif letter == "D":
+        chain = list(range(1, rank))
+        edges = ["---"] * (rank - 2)
+        branch = (rank, rank - 3)
+    else:
+        chain = [1] + list(range(3, rank + 1))
+        edges = ["---"] * (len(chain) - 1)
+        branch = (2, 2)
+    line = node(chain[0])
+    for e, i in zip(edges, chain[1:]):
+        line += e + node(i)
+    labels = "".join(str(i).ljust(4) for i in chain).rstrip()
+    lines = list(header)
+    if branch is not None:
+        bn, pos = branch
+        pad = " " * (4 * pos)
+        lines.append(f"{pad}{node(bn)} {bn}")
+        lines.append(f"{pad}|")
+    lines.extend([line, labels])
+    if marks:
+        ms = sorted(marks)
+        which = (f"node {ms[0]}" if len(ms) == 1
+                 else "nodes (" + ", ".join(str(m) for m in ms) + ")")
+        lines.append(f"{letter}{rank} with {which} marked")
+    return "\n".join(lines)

@@ -3,7 +3,7 @@
 Realizations follow the standard ambient spaces with Bourbaki node
 numbering: A_n lives in R^{n+1} with fundamental weights
 e_1 + ... + e_k, B_n/C_n/D_n in R^n, G_2 in R^3, F_4 in R^4 and the E
-types in R^8.  All coordinates are exact rationals.
+types in R^8.  All public coordinates are exact rationals.
 
 Roots are built in integers, as coefficient tuples over the simple roots
 closed under s_i(c) = c - <c, alpha_i-check> e_i with the Cartan matrix,
@@ -13,16 +13,25 @@ breadth-first walk over a W-orbit of weights in fundamental-weight
 coordinates (Humphreys, Reflection Groups and Coxeter Groups, 1.10-1.12):
 the orbit of lambda = sum of the crossed fundamental weights is in
 bijection with W^P, and each accepted step multiplies the carried matrix
-by a simple reflection with a rank-one update.
+by a simple reflection with a rank-one update.  The update runs on
+integers: every Weyl matrix of a type has entries k/D with |k| <= D for
+one denominator D (1 for A-D, 2 for F4, 3 for G2, 4 for E6-E8), so the
+walk carries D times the matrix and takes the Fraction entries of the
+public matrix from a table of the 2D + 1 values k/D.  Cartan matrix and
+coroots come from the simple roots as integer vectors; the fundamental
+weights and the Levi Gram inverse, which only Freudenthal's recursion
+and the bundles read, are built on first use.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm, prod
+from functools import cached_property
+from math import gcd, lcm, prod
 
 from .errors import ConsistencyError, NotPDominant, TooLarge, UnknownType
+from .render import format_dynkin
 
 _F = Fraction
 MAX_FIXED_POINTS = 10 ** 5
@@ -36,6 +45,9 @@ E7[7] (dim 27, p = 3010) still runs; the full E6 flag (dim 36) does not."""
 _RANK_RULES = {"A": lambda n: n >= 1, "B": lambda n: n >= 2, "C": lambda n: n >= 3,
                "D": lambda n: n >= 4, "E": lambda n: n in (6, 7, 8),
                "F": lambda n: n == 4, "G": lambda n: n == 2}
+_SUPPORTED = "A1+, B2+, C3+, D4+, E6-E8, F4, G2"
+_DENOMINATORS = {"E": 4, "F": 2, "G": 3}
+"""Denominator D of the Weyl matrices of each type; 1 for the types absent."""
 
 
 class Weight:
@@ -121,14 +133,16 @@ def _matvec(mat, vec):
 
 
 class WeylElement:
-    """Orthogonal ambient matrix together with a reduced word."""
+    """Orthogonal ambient matrix together with a reduced word.  Elements of
+    a root system's walk also carry D times the matrix in integers."""
 
-    __slots__ = ("matrix", "word")
+    __slots__ = ("matrix", "word", "_scaled")
 
     def __init__(self, matrix, word=()):
         self.matrix = tuple(tuple(v if isinstance(v, Fraction) else _F(v) for v in row)
                             for row in matrix)
         self.word = tuple(word)
+        self._scaled = None
 
     @classmethod
     def identity(cls, n):
@@ -197,19 +211,21 @@ def _simple_root_coords(letter, rank):
     raise UnknownType(letter)
 
 
-def _integral_cartan(simple_roots):
-    """Rows a[i] = (<alpha_j, alpha_i-check>)_j as integers; ConsistencyError
-    when an entry is not an integer, which no crystallographic root system
-    allows."""
+def _integral_cartan(vectors):
+    """Rows a[i] = (<alpha_j, alpha_i-check>)_j = (2 (alpha_j, alpha_i) /
+    (alpha_i, alpha_i))_j from the simple roots as integer vectors;
+    ConsistencyError when an entry is not an integer, which no
+    crystallographic root system allows."""
     rows = []
-    for a in simple_roots:
+    for i, a in enumerate(vectors, 1):
+        norm = sum(x * x for x in a)
         row = []
-        for b in simple_roots:
-            v = b.pair(a)
-            if v.denominator != 1:
-                raise ConsistencyError(f"Cartan entry <{b}, {a}-check> = {v} "
-                                       "is not an integer")
-            row.append(int(v))
+        for j, b in enumerate(vectors, 1):
+            twice = 2 * sum(x * y for x, y in zip(a, b))
+            if twice % norm:
+                raise ConsistencyError(f"Cartan entry <alpha_{j}, alpha_{i}-check> = "
+                                       f"{_F(twice, norm)} is not an integer")
+            row.append(twice // norm)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -219,20 +235,27 @@ class RootSystem:
 
     def __init__(self, letter, rank):
         if letter not in _RANK_RULES or not _RANK_RULES[letter](rank):
-            raise UnknownType(f"{letter}{rank}")
+            raise UnknownType(f"unsupported type {letter}{rank}; the supported "
+                              f"types are {_SUPPORTED}")
         self.letter = letter
         self.rank = rank
         self.simple_roots = [Weight(r) for r in _simple_root_coords(letter, rank)]
         self.ambient_dim = len(self.simple_roots[0])
-        self._cartan = _integral_cartan(self.simple_roots)
-        # per simple root: (j, alpha_j, alpha-check_j) over its nonzero coordinates
-        self._supports = [[(j, a, 2 * a / alpha.norm2()) for j, a in enumerate(alpha)
-                           if a] for alpha in self.simple_roots]
-        identity = WeylElement.identity(self.ambient_dim)
-        self._simple_reflections = [self._times_simple(identity, i)
-                                    for i in range(1, rank + 1)]
-        self._build_roots()
-        self._build_fundamental_weights()
+        # the simple roots times a common denominator, as integer vectors
+        scale = lcm(*(a.denominator for alpha in self.simple_roots for a in alpha))
+        scaled = [[a.numerator * (scale // a.denominator) for a in alpha]
+                  for alpha in self.simple_roots]
+        self._cartan = _integral_cartan(scaled)
+        # per simple root: the primitive integer vector p along it, over its
+        # nonzero coordinates, and |p|^2, so that alpha-check = 2 p / |p|^2
+        self._coroots = []
+        for vec in scaled:
+            g = gcd(*vec)
+            support = [(j, a // g) for j, a in enumerate(vec) if a]
+            self._coroots.append((support, sum(a * a for _, a in support)))
+        self._den = d = _DENOMINATORS.get(letter, 1)
+        self._entries = {k: _F(k, d) for k in range(-d, d + 1)}
+        self._build_roots(scale, scaled)
 
     def __repr__(self):
         return f"RootSystem({self.letter}{self.rank})"
@@ -243,26 +266,48 @@ class RootSystem:
 
     def simple_reflection(self, i):
         """Reflection in the i-th simple root, i in 1..rank."""
-        return self._simple_reflections[i - 1]
+        return self._times_simple(self._identity(), i)
+
+    def _identity(self):
+        """The identity element, carrying D times its matrix for the walk."""
+        elem = WeylElement.identity(self.ambient_dim)
+        n, d = self.ambient_dim, self._den
+        elem._scaled = tuple(tuple(d if i == j else 0 for j in range(n))
+                             for i in range(n))
+        return elem
 
     def _times_simple(self, elem, i):
-        """elem * s_i by the rank-one update M - (M alpha_i)(alpha_i-check)^T,
-        touching only the columns where alpha_i is nonzero."""
-        support = self._supports[i - 1]
-        rows = []
-        for row in elem.matrix:
-            t = sum(row[j] * a for j, a, _ in support)
+        """elem * s_i by the rank-one update M - (M alpha_i)(alpha_i-check)^T
+        on N = D M in integers: row r loses k_r p, k_r = 2 (N p)_r / |p|^2,
+        touching only the columns where alpha_i is nonzero.  Rows it leaves
+        alone are shared with elem; ConsistencyError when a k_r is not an
+        integer, that is when D is not a denominator of the result."""
+        support, norm = self._coroots[i - 1]
+        entries = self._entries
+        scaled, matrix = [], []
+        for row, frow in zip(elem._scaled, elem.matrix):
+            t = 2 * sum(row[j] * a for j, a in support)
             if t:
+                k, r = divmod(t, norm)
+                if r:
+                    raise ConsistencyError(f"a {self.type_name} Weyl matrix entry is "
+                                           f"not a multiple of 1/{self._den}")
                 row = list(row)
-                for j, _, k in support:
-                    row[j] -= t * k
-            rows.append(row)
-        return WeylElement(rows, elem.word + (i,))
+                for j, a in support:
+                    row[j] -= k * a
+                row = tuple(row)
+                frow = tuple([entries[v] for v in row])
+            scaled.append(row)
+            matrix.append(frow)
+        new = WeylElement.__new__(WeylElement)
+        new.matrix, new.word, new._scaled = tuple(matrix), elem.word + (i,), tuple(scaled)
+        return new
 
-    def _build_roots(self):
+    def _build_roots(self, scale, scaled):
         """Positive roots from integer coefficient tuples: s_i maps a positive
         root other than alpha_i to a positive root, and every positive root
-        is reached from a simple one this way."""
+        is reached from a simple one this way.  Ambient coordinates are the
+        same combinations of the scaled simple roots, over scale."""
         rank = self.rank
         simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
         found = set(simple)
@@ -279,31 +324,26 @@ class RootSystem:
                         found.add(img)
                         nxt.append(img)
             frontier = nxt
-        # ambient coordinates in integers over a common denominator
-        den = lcm(*(a.denominator for alpha in self.simple_roots for a in alpha))
-        columns = list(zip(*([int(a * den) for a in alpha]
-                             for alpha in self.simple_roots)))
-        coeffs = {}
-        positive = []
-        for c in sorted(found, key=lambda c: (sum(c), tuple(-x for x in c))):
-            root = Weight([_F(sum(x * s for x, s in zip(c, col)), den)
-                           for col in columns])
-            positive.append(root)
-            coeffs[root] = c
-        self.positive_roots = positive
-        self._positive_set = frozenset(r.coords for r in positive)
-        self._root_coefficients = coeffs
+        columns = list(zip(*scaled))
+        self._coefficients = sorted(found, key=lambda c: (sum(c), tuple(-x for x in c)))
+        self.positive_roots = [Weight([_F(sum(x * s for x, s in zip(c, col)), scale)
+                                       for col in columns])
+                               for c in self._coefficients]
+
+    @cached_property
+    def _root_coefficients(self):
+        return dict(zip(self.positive_roots, self._coefficients))
 
     def root_coefficients(self, root):
         """Expansion of a positive root over the simple roots."""
         return self._root_coefficients[root]
 
-    def _build_fundamental_weights(self):
+    @cached_property
+    def fundamental_weights(self):
         if self.letter == "A":
             dim = self.rank + 1
-            self.fundamental_weights = [
-                Weight([1 if j <= i else 0 for j in range(dim)]) for i in range(self.rank)]
-            return
+            return [Weight([1 if j <= i else 0 for j in range(dim)])
+                    for i in range(self.rank)]
         # unique solution inside the span of the simple roots
         inv = _inverse(self._cartan)
         fw = []
@@ -313,14 +353,14 @@ class RootSystem:
             for c, a in zip(coeffs, self.simple_roots):
                 w = w + a * c
             fw.append(w)
-        self.fundamental_weights = fw
+        return fw
 
     def cartan_matrix(self):
         """Entries a[i][j] = <alpha_j, alpha_i-check>."""
         return [list(row) for row in self._cartan]
 
     def is_positive_root(self, v):
-        return v.coords in self._positive_set
+        return v in self._root_coefficients
 
     def weight_from_fundamental(self, coefficients):
         if len(coefficients) != self.rank:
@@ -346,7 +386,8 @@ def root_system(spec):
     else:
         m = re.fullmatch(r"([A-Ga-g])(\d+)", str(spec).strip())
         if not m:
-            raise UnknownType(str(spec))
+            raise UnknownType(f"malformed type {str(spec)!r}; the supported "
+                              f"types are {_SUPPORTED}")
         letter, rank = m.group(1), int(m.group(2))
     return RootSystem(str(letter).upper(), int(rank))
 
@@ -396,8 +437,7 @@ def weyl_elements(rs, limit=None):
     Intended for the small groups exercised in tests; pass a limit to
     guard against accidental use on the huge E types.
     """
-    return _walk(rs, [1] * rs.rank, WeylElement.identity(rs.ambient_dim),
-                 rs._times_simple, limit)
+    return _walk(rs, [1] * rs.rank, rs._identity(), rs._times_simple, limit)
 
 
 class ParabolicSubgroup:
@@ -419,16 +459,15 @@ class ParabolicSubgroup:
                                 if i not in nodes)
         self.levi_simple_roots = [self.root_system.simple_roots[i - 1]
                                   for i in self.levi_nodes]
-        crossed_ix = [i - 1 for i in self.crossed]
-        self.levi_positive_roots = [
-            r for r in self.root_system.positive_roots
-            if all(self.root_system.root_coefficients(r)[i] == 0 for i in crossed_ix)]
-        levi = set(self.levi_positive_roots)
-        self.nilradical_roots = [r for r in self.root_system.positive_roots
-                                 if r not in levi]
-        self._levi_gram_inv = (_inverse([[a.dot(b) for b in self.levi_simple_roots]
-                                         for a in self.levi_simple_roots])
-                               if self.levi_simple_roots else None)
+        self.levi_positive_roots, self.nilradical_roots = [], []
+        self._nilradical_heights = []
+        rs = self.root_system
+        for r, c in zip(rs.positive_roots, rs._coefficients):
+            if any(c[i - 1] for i in self.crossed):
+                self.nilradical_roots.append(r)
+                self._nilradical_heights.append(sum(c))
+            else:
+                self.levi_positive_roots.append(r)
         self._reps = None
 
     def __repr__(self):
@@ -443,8 +482,7 @@ class ParabolicSubgroup:
         (ht alpha + 1) / ht alpha over the positive roots, and likewise for
         the Levi, whose roots keep their heights, so the quotient is the
         product over the nilradical roots."""
-        rs = self.root_system
-        heights = [sum(rs.root_coefficients(r)) for r in self.nilradical_roots]
+        heights = self._nilradical_heights
         return prod(h + 1 for h in heights) // prod(heights)
 
     def check_fixed_point_count(self):
@@ -469,8 +507,7 @@ class ParabolicSubgroup:
             self.check_fixed_point_count()
             rs = self.root_system
             labels = [int(i in self.crossed) for i in range(1, rs.rank + 1)]
-            self._reps = _walk(rs, labels, WeylElement.identity(rs.ambient_dim),
-                               rs._times_simple)
+            self._reps = _walk(rs, labels, rs._identity(), rs._times_simple)
         return self._reps
 
     def _levi_dominant(self, v):
@@ -484,6 +521,11 @@ class ParabolicSubgroup:
                     moved = True
                     break
         return v
+
+    @cached_property
+    def _levi_gram_inv(self):
+        return _inverse([[a.dot(b) for b in self.levi_simple_roots]
+                         for a in self.levi_simple_roots])
 
     def _expand_in_levi(self, v):
         dots = [v.dot(a) for a in self.levi_simple_roots]
@@ -571,7 +613,8 @@ class ParabolicSubgroup:
         return lam, rho
 
     def dynkin_ascii(self):
-        return _dynkin_ascii(self.root_system, self.crossed)
+        return format_dynkin(self.root_system.letter, self.root_system.rank,
+                             self.crossed)
 
 
 def parabolic(spec, crossed):
@@ -582,52 +625,3 @@ def parabolic(spec, crossed):
 def min_coset_reps(p):
     """Module-level alias for ParabolicSubgroup.coset_representatives."""
     return p.coset_representatives()
-
-
-def _dynkin_ascii(rs, crossed=()):
-    letter, rank = rs.letter, rs.rank
-    marks = set(crossed)
-
-    def node(i):
-        return "X" if i in marks else "O"
-
-    header = []
-    if letter in "ABCFG":
-        chain = list(range(1, rank + 1))
-        if letter == "A":
-            edges = ["---"] * (rank - 1)
-        elif letter == "B":
-            edges = ["---"] * (rank - 2) + ["=>="]
-        elif letter == "C":
-            edges = ["---"] * (rank - 2) + ["=<="]
-        elif letter == "F":
-            edges = ["---", "=>=", "---"]
-        else:
-            edges = ["=<="]
-            header = ["  3"]
-        branch = None
-    elif letter == "D":
-        chain = list(range(1, rank))
-        edges = ["---"] * (rank - 2)
-        branch = (rank, rank - 3)
-    else:
-        chain = [1] + list(range(3, rank + 1))
-        edges = ["---"] * (len(chain) - 1)
-        branch = (2, 2)
-    line = node(chain[0])
-    for e, i in zip(edges, chain[1:]):
-        line += e + node(i)
-    labels = "".join(str(i).ljust(4) for i in chain).rstrip()
-    lines = list(header)
-    if branch is not None:
-        bn, pos = branch
-        pad = " " * (4 * pos)
-        lines.append(f"{pad}{node(bn)} {bn}")
-        lines.append(f"{pad}|")
-    lines.extend([line, labels])
-    if marks:
-        ms = sorted(marks)
-        which = (f"node {ms[0]}" if len(ms) == 1
-                 else "nodes (" + ", ".join(str(m) for m in ms) + ")")
-        lines.append(f"{letter}{rank} with {which} marked")
-    return "\n".join(lines)

@@ -177,6 +177,13 @@ def test_malformed_requests_exit_2(argv):
     assert out == ""
 
 
+def test_unsupported_type_names_the_supported_ranks():
+    code, out, err = run(["info", "--space", "C2[1]"])
+    assert (code, out) == (2, "")
+    assert err == ("error: unsupported type C2; the supported types are "
+                   "A1+, B2+, C3+, D4+, E6-E8, F4, G2\n")
+
+
 INVALID = [
     ["basis", "--weight", "1", "--double-index", "2"],   # odd weight
     ["basis", "--weight", "0", "--double-index", "-2"],  # negative index
@@ -309,6 +316,28 @@ def test_float_mode_with_seed_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # argument parsing round-trips
+
+
+def test_one_parser_serves_every_command_of_a_session():
+    sessions = [
+        ["info", "--space", "D4[1]"],
+        ["chern", "--space", "A4[3]", "--degrees", "1,1,1,1,1,1", "--seed", "3"],
+        ["chi-y", "--space", "A3[2]", "--format", "json"],
+        ["genus", "--space", "A4[1]", "--order", "1", "--bundle", "5,0,0,0"],
+        ["basis", "--weight", "0", "--double-index", "3", "--prec", "2"],
+        ["genus", "--space", "A4[1]", "--order", "-1"],
+        ["basis", "--weight", "0"],
+        ["info", "--space", "B3[3]"],
+    ]
+    fresh = []
+    for argv in sessions:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in sessions]
+    assert cli._build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 2, 0]
 
 
 def test_jobspec_round_trips_through_argv():

@@ -115,6 +115,18 @@ def test_degenerate_points_raise(zero_rng):
         space.integrate(c[2], rng=zero_rng)
 
 
+def test_evaluate_is_exact_at_integer_points():
+    c = CohomologyClass.linear_form((1, 3))   # x0 + 3*x1
+    square = c * c
+    assert square.evaluate((1, 2)) == 49
+    assert isinstance(square.evaluate((1, 2)), Fraction)
+    big = square.evaluate((10 ** 9, 3))
+    assert big == 1000000018000000081 and isinstance(big, Fraction)
+    assert square.evaluate((Fraction(1, 2), 1)) == Fraction(49, 4)
+    at_float = square.evaluate((1.0, 2))
+    assert at_float == 49.0 and isinstance(at_float, float)
+
+
 def test_hyperplane_class_powers_on_projective_space():
     p4 = proj(4)
     x0 = CohomologyClass.linear_form(Weight([1, 0, 0, 0, 0]))

@@ -319,6 +319,21 @@ def _reference_cosets(p):
         rs.is_positive_root(v.inverse().apply(a)) for a in p.levi_simple_roots))
 
 
+def _row_reduce(aug):
+    """Gauss-Jordan elimination of a square Fraction system augmented on
+    the right; returns the reduced rows."""
+    n = len(aug)
+    for col in range(n):
+        piv = next(k for k in range(col, n) if aug[k][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for k in range(n):
+            if k != col and aug[k][col]:
+                f = aug[k][col]
+                aug[k] = [x - f * y for x, y in zip(aug[k], aug[col])]
+    return aug
+
+
 def _reference_roots(rs):
     """Positive roots by closing the ambient simple roots under reflections
     and expanding each root over the simple roots with the Gram matrix."""
@@ -338,16 +353,8 @@ def _reference_roots(rs):
     gram = [[Fraction(a.dot(b)) for b in simple] for a in simple]
     coeffs = {}
     for r in found:
-        # solve gram * c = (r . alpha_j)_j by Gaussian elimination
-        aug = [row[:] + [r.dot(a)] for row, a in zip(gram, simple)]
-        for col in range(n):
-            piv = next(k for k in range(col, n) if aug[k][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            aug[col] = [v / aug[col][col] for v in aug[col]]
-            for k in range(n):
-                if k != col and aug[k][col]:
-                    f = aug[k][col]
-                    aug[k] = [x - f * y for x, y in zip(aug[k], aug[col])]
+        # solve gram * c = (r . alpha_j)_j
+        aug = _row_reduce([row[:] + [r.dot(a)] for row, a in zip(gram, simple)])
         c = tuple(row[n] for row in aug)
         assert all(x.denominator == 1 for x in c)
         if all(x >= 0 for x in c):
@@ -357,16 +364,40 @@ def _reference_roots(rs):
     return positive, coeffs
 
 
+def _reference_cartan(rs):
+    """Cartan rows by Fraction pairings of the ambient simple roots."""
+    return [[b.pair(a) for b in rs.simple_roots] for a in rs.simple_roots]
+
+
+def _reference_fundamental_weights(rs):
+    """Partial sums of e_i for type A; otherwise the simple roots combined
+    with the columns of the Fraction inverse of the Cartan matrix."""
+    n = rs.rank
+    if rs.letter == "A":
+        return [Weight([1 if j <= i else 0 for j in range(n + 1)]) for i in range(n)]
+    aug = _row_reduce([[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+                       for i, row in enumerate(_reference_cartan(rs))])
+    inv = [row[n:] for row in aug]
+    weights = []
+    for i in range(n):
+        w = Weight([0] * rs.ambient_dim)
+        for j, a in enumerate(rs.simple_roots):
+            w = w + a * inv[j][i]
+        weights.append(w)
+    return weights
+
+
 @pytest.mark.parametrize("spec,crossed", [
     ("A4", [3]), ("B3", [1, 3]), ("C4", [1, 2, 3, 4]), ("D4", [1, 3, 4]),
-    ("F4", [2]), ("G2", [1, 2]), ("E6", [1])])
+    ("F4", [2]), ("G2", [1, 2]), ("E6", [1]), ("E7", [7]),
+    ("F4", [1, 2, 3, 4]), ("E6", [2])])
 def test_coset_walk_matches_matrix_product_bfs(spec, crossed):
     p = parabolic(spec, crossed)
     got = [(w.matrix, w.word) for w in p.coset_representatives()]
     assert got == [(w.matrix, w.word) for w in _reference_cosets(p)]
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2", "F4"])
 def test_weyl_elements_match_matrix_product_bfs(spec):
     rs = root_system(spec)
     got = [(w.matrix, w.word) for w in weyl_elements(rs)]
@@ -398,14 +429,21 @@ def test_weyl_elements_limit():
     assert len(weyl_elements(root_system("B3"), limit=48)) == 48
 
 
-@pytest.mark.parametrize("spec", ["A1", "A4", "B2", "B4", "C3", "C5", "D4",
-                                  "D6", "E6", "E7", "E8", "F4", "G2"])
+# every supported type through rank 8
+SUPPORTED_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                   + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+                   + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("spec", SUPPORTED_TYPES)
 def test_integer_root_build_matches_ambient_closure(spec):
     rs = root_system(spec)
     positive, coeffs = _reference_roots(rs)
     assert rs.positive_roots == positive
     assert [rs.root_coefficients(r) for r in rs.positive_roots] == \
         [coeffs[r] for r in positive]
+    assert rs.cartan_matrix() == _reference_cartan(rs)
+    assert rs.fundamental_weights == _reference_fundamental_weights(rs)
 
 
 @pytest.mark.parametrize("spec,crossed", [
@@ -446,6 +484,14 @@ def test_non_integral_cartan_entry_raises(monkeypatch):
                         lambda letter, rank: [[1, 0], [1, 2]])
     with pytest.raises(ConsistencyError):
         root_system("G2")
+
+
+def test_wrong_matrix_denominator_raises(monkeypatch):
+    # E6 Weyl matrices have entries in (1/4)Z; claiming D = 1 makes the
+    # integer rank-one update inexact at the first reflection in alpha_1
+    monkeypatch.setattr(roots, "_DENOMINATORS", {"F": 2, "G": 3})
+    with pytest.raises(ConsistencyError):
+        parabolic("E6", [1]).coset_representatives()
 
 
 def test_freudenthal_check_raises(monkeypatch):
