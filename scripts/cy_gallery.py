@@ -46,8 +46,8 @@ def jacobi_coordinates(manifold, genus):
     d = manifold.dimension()
     shift = (d - d % 2) // 2
     elements = [
-        QYSeries(e.series.prec2,
-                 {k2: lau.shift(shift) for k2, lau in e.series.c.items()})
+        QYSeries.from_q_dict(e.series.q_order,
+                             {q: lau.shift(shift) for q, lau in e.series.terms()})
         for e in basis_half_integral(0, d, prec=genus.q_order)]
     labels = [e.label() for e in basis_half_integral(0, d, prec=0)]
     coords = linear_fit(genus, elements)

@@ -14,8 +14,9 @@ from .ci import (CompleteIntersection, chern_number, chern_numbers,
 from .cohomology import CohomologyClass
 from .errors import (BaseMismatch, ConsistencyError, DegeneratePoint,
                      DivisionByNonUnit, EllgenusError, FloatUnstable,
-                     NegativeDimension, NotPDominant, OddWeight, PrecisionZero,
-                     SeriesError, TooLarge, UnknownType, WedgeTooLarge)
+                     InvalidInput, NegativeDimension, NotPDominant, OddWeight,
+                     PrecisionZero, SeriesError, TooLarge, UnknownType,
+                     WedgeTooLarge)
 from .genus import (ChernSymbolSeries, chi_y, elliptic_genus,
                     elliptic_genus_chernnum)
 from .homog import HomogeneousSpace, homogeneous_space
@@ -32,14 +33,15 @@ __all__ = [
     "BaseMismatch", "ChernSymbolSeries", "CohomologyClass",
     "CompleteIntersection", "ConsistencyError", "DegeneratePoint",
     "DivisionByNonUnit", "EllgenusError", "EquivariantVectorBundle",
-    "FloatUnstable", "HomogeneousSpace", "JacobiBasisElement", "LaurentY",
-    "NegativeDimension", "NotPDominant", "OddWeight", "ParabolicSubgroup",
-    "PrecisionZero", "QYSeries", "RootSystem", "SeriesError", "TooLarge", "UnknownType",
-    "WedgeTooLarge", "Weight", "WeylElement", "basis_half_integral",
-    "basis_integral", "chern_number", "chern_numbers", "chi_y",
-    "complete_intersection", "completely_reducible_bundle", "eisenstein",
-    "elliptic_genus", "elliptic_genus_chernnum", "eta_product",
-    "homogeneous_space", "irreducible_bundle", "linear_fit", "min_coset_reps",
-    "parabolic", "phi_0_1", "phi_0_3half", "phi_m2_1", "root_system",
-    "weyl_elements", "weyl_orbit",
+    "FloatUnstable", "HomogeneousSpace", "InvalidInput", "JacobiBasisElement",
+    "LaurentY", "NegativeDimension", "NotPDominant", "OddWeight",
+    "ParabolicSubgroup", "PrecisionZero", "QYSeries", "RootSystem",
+    "SeriesError", "TooLarge", "UnknownType", "WedgeTooLarge", "Weight",
+    "WeylElement", "basis_half_integral", "basis_integral", "chern_number",
+    "chern_numbers", "chi_y", "complete_intersection",
+    "completely_reducible_bundle", "eisenstein", "elliptic_genus",
+    "elliptic_genus_chernnum", "eta_product", "homogeneous_space",
+    "irreducible_bundle", "linear_fit", "min_coset_reps", "parabolic",
+    "phi_0_1", "phi_0_3half", "phi_m2_1", "root_system", "weyl_elements",
+    "weyl_orbit",
 ]

@@ -23,10 +23,9 @@ _F = Fraction
 class EquivariantVectorBundle:
     """Bundle on a homogeneous space, stored as its sorted weight multiset."""
 
-    def __init__(self, base, weights, components=()):
+    def __init__(self, base, weights):
         self.base = base
         self.weights = tuple(sorted(weights, key=lambda w: w.coords))
-        self.components = tuple(components)
 
     @property
     def rank(self):
@@ -47,13 +46,11 @@ class EquivariantVectorBundle:
     # ----- constructions ---------------------------------------------------
 
     def dual(self):
-        return EquivariantVectorBundle(self.base, [-w for w in self.weights],
-                                       self.components)
+        return EquivariantVectorBundle(self.base, [-w for w in self.weights])
 
     def direct_sum(self, other):
         self._require_same_base(other)
-        return EquivariantVectorBundle(self.base, self.weights + other.weights,
-                                       self.components + other.components)
+        return EquivariantVectorBundle(self.base, self.weights + other.weights)
 
     __add__ = direct_sum
 
@@ -158,5 +155,4 @@ def completely_reducible_bundle(space, highest_weights):
         mult = space.parabolic.weight_multiplicities(hw)
         for w, m in mult.items():
             weights.extend([w] * m)
-    return EquivariantVectorBundle(space, weights,
-                                   [tuple(hw) for hw in highest_weights])
+    return EquivariantVectorBundle(space, weights)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NegativeDimension
+from .errors import InvalidInput, NegativeDimension
 from .homog import HomogeneousSpace, localize
 from .taylor import _graded_division
 
@@ -91,7 +91,7 @@ def chern_numbers(manifold, degree_lists, mode="exact", rng=None):
     for degrees in lists:
         for k in degrees:
             if not 1 <= k <= dim:
-                raise ValueError(f"chern class degree {k} outside 1..{dim}")
+                raise InvalidInput(f"chern class degree {k} outside 1..{dim}")
     wanted = [degrees for degrees in lists if sum(degrees) == dim]
     integrands = [lambda moved, chern, degrees=degrees:
                   (chern[k] for k in degrees) for degrees in wanted]

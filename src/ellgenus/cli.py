@@ -8,8 +8,9 @@ coordinates and may repeat, turning the space into the zero locus of a
 general section.
 
 Exit codes: 0 success, 2 malformed command line, 3 mathematically invalid
-input (odd basis weight, non-dominant bundle weight, negative-dimensional
-intersection, bad degree list), 4 integration or self-check failure (no
+input (odd basis weight, negative Jacobi index, non-dominant or wrongly
+sized bundle weight, negative-dimensional intersection, bad degree list;
+any other ValueError propagates), 4 integration or self-check failure (no
 generic evaluation point, an unstable or non-finite float value, the two
 evaluation points of the exact self-check disagreeing, or another
 built-in consistency check failing), 5 a space with more fixed points than
@@ -30,26 +31,26 @@ from functools import lru_cache
 
 from .bundles import completely_reducible_bundle
 from .ci import CompleteIntersection, chern_number
-from .errors import (ConsistencyError, DegeneratePoint, EllgenusError,
-                     FloatUnstable, NegativeDimension, NotPDominant, OddWeight,
+from .errors import (ConsistencyError, DegeneratePoint, FloatUnstable,
+                     InvalidInput, NegativeDimension, NotPDominant, OddWeight,
                      TooLarge, UnknownType)
 from .genus import chi_y, elliptic_genus
 from .homog import HomogeneousSpace
 from .jacobi import basis_half_integral
-from .render import (format_laurent, format_series, format_series_payload,
-                     laurent_payload, parse_laurent_payload, series_payload)
+from .render import (format_laurent, format_series_payload, laurent_payload,
+                     parse_laurent_payload, series_payload)
 from .roots import parabolic
 
 _SPACE_RE = re.compile(r"([A-Ga-g])(\d+)\[(\d+(?:,\d+)*)\]")
 
-_MATH_ERRORS = (NotPDominant, NegativeDimension, OddWeight, ValueError)
+_MATH_ERRORS = (NotPDominant, NegativeDimension, OddWeight, InvalidInput)
 _INTEGRATION_ERRORS = (ConsistencyError, DegeneratePoint, FloatUnstable)
 
 
 def _series_terms(series):
-    """QYSeries -> the (doubled exponent, sorted (y, coeff) pairs) list the
+    """QYSeries -> the (q-exponent, sorted (y, coeff) pairs) list the
     render payload helpers consume."""
-    return [(k2, sorted(lau.c.items())) for k2, lau in series.terms2()]
+    return [(q, sorted(lau.c.items())) for q, lau in series.terms()]
 
 
 class SpecError(ValueError):
@@ -210,7 +211,7 @@ def _payload(job, rng):
         elements = basis_half_integral(job.weight, job.double_index, job.prec)
         return {"weight": job.weight, "double_index": job.double_index,
                 "order": job.prec,
-                "elements": [series_payload(_series_terms(e.series), job.prec)
+                "elements": [series_payload(_series_terms(e.series))
                              for e in elements]}
     if job.command == "info":
         p = _space_parabolic(job.space)
@@ -227,7 +228,7 @@ def _payload(job, rng):
         series = elliptic_genus(manifold, job.order, mode=job.mode, rng=rng)
         return {"dimension": manifold.dimension(),
                 "y_half_power": manifold.dimension(),
-                "terms": series_payload(_series_terms(series), job.order),
+                "terms": series_payload(_series_terms(series)),
                 "order": job.order}
     if job.command == "chi-y":
         value = chi_y(manifold, mode=job.mode, rng=rng)

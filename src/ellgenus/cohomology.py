@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .render import _join, _term_body
+from .taylor import _power
 
 _F = Fraction
 
@@ -132,17 +133,8 @@ class CohomologyClass:
         return CohomologyClass(self.n, {e: c / s for e, c in self.c.items()})
 
     def __pow__(self, k, max_degree=None):
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = CohomologyClass.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result.times(base, max_degree)
-            k >>= 1
-            if k:
-                base = base.times(base, max_degree)
-        return result
+        return _power(self, k, CohomologyClass.one(self.n),
+                      lambda a, b: a.times(b, max_degree))
 
     def power(self, k, max_degree=None):
         return self.__pow__(k, max_degree)

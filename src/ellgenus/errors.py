@@ -20,6 +20,12 @@ class PrecisionZero(SeriesError):
     precision-zero series."""
 
 
+class InvalidInput(EllgenusError, ValueError):
+    """A request outside a function's domain: a Chern-class degree outside
+    1..dim, a highest weight with the wrong number of coordinates, or a
+    negative Jacobi index (CLI exit code 3)."""
+
+
 class OddWeight(EllgenusError):
     """Weak Jacobi form bases are only provided for even weights."""
 

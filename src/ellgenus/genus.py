@@ -31,7 +31,10 @@ elementary symmetric polynomials (the Chern classes) by Newton's
 identities.
 
 Factors with n > k contribute only beyond q^k, so the products are
-truncated at n = k.
+truncated at n = k.  The universal genus is kept as one QYSeries per Chern
+monomial and printed by the one series renderer, render.format_series;
+doubled q-exponents appear here only as the doubled precisions handed to
+QYSeries constructors.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .ci import chern_number, chern_numbers
 from .cohomology import CohomologyClass
 from .errors import TooLarge
 from .qseries import LaurentY, QYSeries, _product_series, _rows
-from .render import _join, _q_part, _term_body, _y_part
+from .render import format_series
 from .roots import MAX_CHERN_MONOMIALS
 from .taylor import log_todd_coefficients
 
@@ -141,22 +144,17 @@ def power_sum_in_elementary(m, dim):
 
 
 class ChernSymbolSeries:
-    """q-series whose coefficients are y-Laurent combinations of Chern
-    monomials c_1^{a_1} ... c_d^{a_d} of weighted degree exactly d."""
+    """The universal genus of a dim-fold to q^order: one QYSeries per Chern
+    monomial c_1^{a_1} ... c_d^{a_d} of weighted degree exactly d, keyed by
+    the exponent tuple (a_1, ..., a_d), zero series dropped."""
 
-    def __init__(self, dim, order, terms):
+    def __init__(self, dim, order, series):
         self.dim = dim
         self.order = order
-        # terms: {q: {exponent tuple: LaurentY}}, zeros dropped
-        self.terms = {q: {e: ly for e, ly in mono.items() if not ly.is_zero()}
-                      for q, mono in terms.items()}
-        self.terms = {q: mono for q, mono in self.terms.items() if mono}
+        self.series = {e: s for e, s in series.items() if not s.is_zero()}
 
     def monomials(self):
-        out = set()
-        for mono in self.terms.values():
-            out.update(mono)
-        return sorted(out, reverse=True)
+        return sorted(self.series, reverse=True)
 
     def coefficient(self, q, exponents):
         """LaurentY coefficient of one Chern monomial at q^q; exponents is
@@ -164,61 +162,35 @@ class ChernSymbolSeries:
         e = tuple(exponents)
         if len(e) != self.dim:
             raise ValueError(f"expected {self.dim} exponents")
-        return self.terms.get(q, {}).get(e, LaurentY())
+        if e not in self.series or q > self.order:
+            return LaurentY()
+        return self.series[e].coefficient(q)
 
     def substitute(self, values):
         """QYSeries obtained by replacing each Chern monomial by a number;
         values maps exponent tuples to Fractions."""
-        qcoeffs = {}
-        for q, mono in self.terms.items():
-            total = LaurentY()
-            for e, ly in mono.items():
-                v = values[e]
-                if v:
-                    total = total + ly * v
-            qcoeffs[q] = total
-        return QYSeries.from_q_dict(self.order, qcoeffs)
+        total = QYSeries.zero(2 * self.order)
+        for e, s in self.series.items():
+            if values[e]:
+                total = total + s * values[e]
+        return total
 
     def __str__(self):
-        chunks = []
-        for q in sorted(self.terms):
-            ymap = {}
-            for e, ly in self.terms[q].items():
-                for ye, c in sorted(ly.c.items()):
-                    ymap.setdefault(ye, {})[e] = c
-            entries = []
-            for ye in sorted(ymap):
-                items = sorted(ymap[ye].items(), key=lambda t: t[0], reverse=True)
-                if len(items) == 1:
-                    (e, c), = items
-                    entries.append((-1 if c < 0 else 1,
-                                    _term_body(c, _chern_body(e), _y_part(ye))))
-                else:
-                    inner = _join([(-1 if c < 0 else 1,
-                                    _term_body(c, _chern_body(e)))
-                                   for e, c in items])
-                    suffix = f"*{_y_part(ye)}" if ye else ""
-                    entries.append((1, f"({inner}){suffix}"))
-            if q == 0:
-                chunks.extend(entries)
-            elif len(entries) == 1 and not entries[0][1].startswith("("):
-                sign, body = entries[0]
-                chunks.append((sign, f"{body}*{_q_part(2 * q)}"))
-            else:
-                chunks.append((1, f"({_join(entries)})*{_q_part(2 * q)}"))
-        tail = f"O(q^{self.order + 1})"
-        if not chunks:
-            return f"0 + {tail}"
-        return f"{_join(chunks)} + {tail}"
+        # row q, y-power y^j: the (coefficient, monomial) pairs, monomials
+        # descending
+        rows = {}
+        for e in self.monomials():
+            label = "*".join(f"c{m}" if a == 1 else f"c{m}^{a}"
+                             for m, a in enumerate(e, start=1) if a)
+            for q, ly in self.series[e].terms():
+                row = rows.setdefault(q, {})
+                for j, c in ly.c.items():
+                    row.setdefault(j, []).append((c, label))
+        return format_series(sorted((q, sorted(row.items()))
+                                    for q, row in rows.items()), self.order)
 
     def __repr__(self):
         return str(self)
-
-
-def _chern_body(exponents):
-    parts = [f"c{m + 1}" if e == 1 else f"c{m + 1}^{e}"
-             for m, e in enumerate(exponents) if e]
-    return "*".join(parts)
 
 
 @lru_cache(maxsize=None)
@@ -253,11 +225,8 @@ def elliptic_genus_chernnum(dim, k):
             term = series * coeff
             in_e[emon] = in_e[emon] + term if emon in in_e else term
     g0d = _g0_power(dim, k)
-    terms = {}
-    for emon, series in in_e.items():
-        for q2, ly in (series * g0d).c.items():
-            terms.setdefault(q2 // 2, {})[emon] = ly
-    return ChernSymbolSeries(dim, k, terms)
+    return ChernSymbolSeries(dim, k, {emon: series * g0d
+                                      for emon, series in in_e.items()})
 
 
 def elliptic_genus(manifold, k, mode="exact", rng=None):

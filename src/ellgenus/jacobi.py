@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import OddWeight
+from .errors import InvalidInput, OddWeight
 from .qseries import LaurentY, QYSeries, _product_series, _rows, eisenstein
 
 # (s, e): the factor (1 - q^n y^s)^e for every n >= 1
@@ -126,7 +126,7 @@ def basis_integral(weight, index, prec=7):
     if weight % 2:
         raise OddWeight(f"no odd-weight basis: weight {weight}")
     if index < 0:
-        raise ValueError("index must be nonnegative")
+        raise InvalidInput("index must be nonnegative")
     gens = {
         "e4": lambda: eisenstein(4, prec),
         "e6": lambda: eisenstein(6, prec),
@@ -159,7 +159,7 @@ def basis_half_integral(weight, double_index, prec=7):
     if weight % 2:
         raise OddWeight(f"no odd-weight basis: weight {weight}")
     if double_index < 0:
-        raise ValueError("double index must be nonnegative")
+        raise InvalidInput("double index must be nonnegative")
     if double_index % 2 == 0:
         return basis_integral(weight, double_index // 2, prec)
     if double_index < 3:

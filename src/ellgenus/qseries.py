@@ -2,12 +2,17 @@
 
 Every q-exponent is an integer.  Keys are still doubled, the key k
 carrying the coefficient of q^(k/2), because ``QYSeries(prec2, coeffs)``
-with doubled keys is the public constructor form that callers build
-series with; odd keys are rejected.  A series remembers its precision
-(the largest retained doubled exponent).  Arithmetic truncates to the
-smaller operand precision; division is one long-division pass over the
-q-rows.  Products prod_n (1 - q^n y^s)^e (eta, the Jacobi generators and
-the genus prefactor) are built by _product_series, in place on the rows.
+with doubled keys is the public constructor form; odd keys are rejected.
+Outside the package only the benchmark's workloads and a few tests still
+build series with it (``from_q_dict`` takes integer q); inside it, genus
+and jacobi still pass doubled precisions.  Every view out of a series
+(``coefficient``, ``terms``, ``q_order`` and its text) is in integer q,
+and the text comes from the one series renderer, ``render.format_series``.
+A series remembers its precision (the largest retained doubled
+exponent).  Arithmetic truncates to the smaller operand precision;
+division is one long-division pass over the q-rows.  Products
+prod_n (1 - q^n y^s)^e (eta, the Jacobi generators and the genus
+prefactor) are built by _product_series, in place on the rows.
 
 >>> one = LaurentY.const(1)
 >>> s = QYSeries(6, {0: one, 2: -one})        # 1 - q at precision q^3
@@ -21,6 +26,7 @@ from fractions import Fraction
 
 from .errors import DivisionByNonUnit, PrecisionZero
 from .render import format_laurent, format_series
+from .taylor import _power
 
 _ZERO = Fraction(0)
 
@@ -122,17 +128,7 @@ class LaurentY:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = _laurent_one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, _laurent_one())
 
     def scale_exponents(self, s):
         """Substitute y -> y^s for a nonzero integer s."""
@@ -324,16 +320,7 @@ class QYSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative series power; divide explicitly")
-        result = QYSeries.one(self.prec2)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, QYSeries.one(self.prec2))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -382,12 +369,12 @@ class QYSeries:
         """Set y = 1 in every coefficient."""
         return QYSeries(self.prec2, {k: LaurentY.const(v.at_one()) for k, v in self.c.items()})
 
-    def terms2(self):
-        """Sorted (doubled exponent, coefficient) pairs."""
-        return sorted(self.c.items())
+    def terms(self):
+        """Sorted (q-exponent, coefficient) pairs."""
+        return sorted((k // 2, v) for k, v in self.c.items())
 
     def __str__(self):
-        terms = [(k, sorted(v.c.items())) for k, v in self.terms2()]
+        terms = [(q, sorted(v.c.items())) for q, v in self.terms()]
         return format_series(terms, self.q_order)
 
     def __repr__(self):

@@ -2,8 +2,10 @@
 diagrams.
 
 One renderer serves the library reprs, the CLI text mode and the CLI JSON
-round-trip, so all three agree byte for byte.  It imports nothing from
-the package, so every module can render through it.
+round-trip, so all three agree byte for byte.  Every q-series, numeric or
+the universal genus in Chern monomials, is printed by format_series, which
+takes integer q-exponents; no doubled exponent reaches this module.  It
+imports nothing from the package, so every module can render through it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ def _y_part(exponent):
     return f"y^{exponent}"
 
 
-def _q_part(k2):
-    n = k2 // 2
+def _q_part(n):
     return "q" if n == 1 else f"q^{n}"
 
 
@@ -47,33 +48,41 @@ def _join(chunks):
 def format_laurent(pairs):
     """Render sorted (y-exponent, coefficient) pairs, ascending in y."""
     chunks = [(-1 if c < 0 else 1, _term_body(c, _y_part(e))) for e, c in pairs if c]
-    if not chunks:
-        return "0"
-    return _join(chunks)
+    return _join(chunks) if chunks else "0"
+
+
+def _entry(e, c):
+    """(sign, factors, grouped) of the y^e term of a q-row, whose
+    coefficient c is a number or a list of (number, label) pairs; a list
+    of several pairs is one parenthesized group."""
+    if isinstance(c, list) and len(c) > 1:
+        inner = _join([(-1 if v < 0 else 1, _term_body(v, label)) for v, label in c])
+        return 1, (1, f"({inner})", _y_part(e)), True
+    c, label = c[0] if isinstance(c, list) else (c, "")
+    return (-1 if c < 0 else 1), (c, label, _y_part(e)), False
 
 
 def format_series(terms, order_q):
-    """Render sorted (doubled q-exponent, laurent pairs) terms plus the O-tail.
+    """Render sorted (q-exponent, [(y-exponent, coefficient)]) rows plus
+    the O-tail; a coefficient is a number or a list of (number, label)
+    pairs, such as a y-power's Chern monomials.
 
-    The q^0 coefficient is printed bare; later coefficients are
-    parenthesized unless they consist of a single monomial.
+    The q^0 row is printed bare; a later row is parenthesized unless it
+    is a single term.
     """
     chunks = []
-    for k2, pairs in terms:
-        pairs = [(e, c) for e, c in pairs if c]
-        if not pairs:
+    for q, pairs in terms:
+        entries = [_entry(e, c) for e, c in pairs if c]
+        if not entries:
             continue
-        if k2 == 0:
-            body = format_laurent(pairs)
-            if body.startswith("-"):
-                chunks.append((-1, body[1:]))
-            else:
-                chunks.append((1, body))
-        elif len(pairs) == 1:
-            e, c = pairs[0]
-            chunks.append((-1 if c < 0 else 1, _term_body(c, _y_part(e), _q_part(k2))))
+        if q == 0:
+            chunks.extend((sign, _term_body(*factors)) for sign, factors, _ in entries)
+        elif len(entries) == 1 and not entries[0][2]:
+            sign, factors, _ = entries[0]
+            chunks.append((sign, _term_body(*factors, _q_part(q))))
         else:
-            chunks.append((1, f"({format_laurent(pairs)})*{_q_part(k2)}"))
+            row = _join([(sign, _term_body(*factors)) for sign, factors, _ in entries])
+            chunks.append((1, f"({row})*{_q_part(q)}"))
     tail = f"O(q^{order_q + 1})"
     if not chunks:
         return f"0 + {tail}"
@@ -89,21 +98,15 @@ def parse_laurent_payload(payload):
     return sorted((int(e), Fraction(v)) for e, v in payload.items())
 
 
-def series_payload(terms, order_q):
-    """JSON-safe term list for sorted (doubled exponent, laurent pairs)."""
-    out = []
-    for k2, pairs in terms:
-        coeffs = laurent_payload(pairs)
-        if not coeffs:
-            continue
-        out.append({"q": k2 // 2, "coeffs": coeffs})
-    return out
+def series_payload(terms):
+    """JSON-safe term list for sorted (q-exponent, laurent pairs) rows."""
+    payload = [{"q": q, "coeffs": laurent_payload(pairs)} for q, pairs in terms]
+    return [t for t in payload if t["coeffs"]]
 
 
 def format_series_payload(term_list, order_q):
     """Render a JSON term list exactly as format_series renders the series."""
-    terms = [(2 * t["q"], parse_laurent_payload(t["coeffs"])) for t in term_list]
-    terms.sort()
+    terms = sorted((t["q"], parse_laurent_payload(t["coeffs"])) for t in term_list)
     return format_series(terms, order_q)
 
 

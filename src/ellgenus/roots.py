@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .errors import ConsistencyError, NotPDominant, TooLarge, UnknownType
+from .errors import ConsistencyError, InvalidInput, NotPDominant, TooLarge, UnknownType
 from .render import format_dynkin
 
 _F = Fraction
@@ -364,7 +364,7 @@ class RootSystem:
 
     def weight_from_fundamental(self, coefficients):
         if len(coefficients) != self.rank:
-            raise ValueError(f"expected {self.rank} coefficients")
+            raise InvalidInput(f"expected {self.rank} coefficients")
         w = Weight([0] * self.ambient_dim)
         for c, fw in zip(coefficients, self.fundamental_weights):
             if c:

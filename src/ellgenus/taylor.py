@@ -6,8 +6,9 @@ homogeneous classes of any type with +, - and *.  The package uses two
 operations on such lists everywhere: the elementary symmetric functions
 of a list of roots (Chern classes, as classes or as numbers at a fixed
 point) and graded division (adjunction c(TX) = c(TM)/c(E), and the Todd
-and log-Todd series).  This module imports nothing from the package, so
-every layer can use it.
+and log-Todd series).  It also holds the one square-and-multiply loop
+behind the powers of Laurent polynomials, q-series and classes.  This
+module imports nothing from the package, so every layer can use it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,21 @@ def _graded_division(numer, denom, max_degree):
             t = t - denom[j] * out[k - j]
         out.append(t)
     return out
+
+
+def _power(base, k, one, times=lambda a, b: a * b):
+    """base**k by square and multiply, starting from `one`; times(a, b)
+    is the product, looked up on the operands when it is called."""
+    if k < 0:
+        raise ValueError("negative powers are not defined")
+    result = one
+    while k:
+        if k & 1:
+            result = times(result, base)
+        k >>= 1
+        if k:
+            base = times(base, base)
+    return result
 
 
 def series_log(coeffs):

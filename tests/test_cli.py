@@ -190,6 +190,7 @@ INVALID = [
     ["chern", "--space", "A4[3]", "--degrees", "7"],     # degree > dim
     ["chern", "--space", "A4[3]", "--degrees", "0,6"],   # degree < 1
     ["chi-y", "--space", "A3[1]", "--bundle", "2,2,2,2"],  # dim < 0
+    ["chi-y", "--space", "A4[1]", "--bundle", "1,0"],    # too few coordinates
 ]
 
 
@@ -199,6 +200,33 @@ def test_mathematically_invalid_requests_exit_3(argv):
     assert code == 3
     assert out == ""
     assert err != ""
+
+
+def test_input_checks_raise_invalid_input():
+    from ellgenus import (EllgenusError, InvalidInput, basis_half_integral,
+                          basis_integral, chern_number, homogeneous_space,
+                          root_system)
+    assert issubclass(InvalidInput, EllgenusError)
+    assert issubclass(InvalidInput, ValueError)
+    for bad in (lambda: chern_number(homogeneous_space("A4", [3]), [9]),
+                lambda: root_system("A4").weight_from_fundamental((1, 0)),
+                lambda: basis_integral(0, -1),
+                lambda: basis_half_integral(0, -2)):
+        with pytest.raises(InvalidInput):
+            bad()
+
+
+def test_internal_value_error_is_not_reported_as_invalid_input(monkeypatch):
+    # only InvalidInput means a bad request; any other ValueError is a
+    # fault of the program and propagates instead of exiting 3
+    from ellgenus.homog import HomogeneousSpace
+
+    def broken(self, point, integrands, section=()):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(HomogeneousSpace, "localization_sum", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run(["chern", "--space", "A4[3]", "--degrees", "6"])
 
 
 def test_degenerate_sampling_exits_4(zero_rng):

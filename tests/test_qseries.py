@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ellgenus.qseries
 import ellgenus.taylor
+from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import DivisionByNonUnit, PrecisionZero
 from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product
 from ellgenus.taylor import log_todd_coefficients, todd_coefficients
@@ -180,6 +181,27 @@ def test_laurent_power_is_repeated_product(a, n):
     for _ in range(n):
         expected = expected * a
     assert a ** n == expected
+
+
+def test_power_is_repeated_product_on_every_type():
+    # one square-and-multiply serves all three types
+    laurent = LaurentY({-1: 2, 0: Fraction(-1, 3), 2: 1})
+    series = QYSeries.from_q_dict(4, {0: laurent, 1: LaurentY.const(5),
+                                      3: LaurentY({1: -1})})
+    cls = CohomologyClass(2, {(1, 0): Fraction(1, 2), (0, 1): 3, (0, 0): -1})
+    cases = [(laurent, LaurentY.const(1), lambda a, b: a * b, {}),
+             (series, QYSeries.one(8), lambda a, b: a * b, {}),
+             (cls, CohomologyClass.one(2), lambda a, b: a.times(b), {}),
+             (cls, CohomologyClass.one(2), lambda a, b: a.times(b, 3),
+              {"max_degree": 3})]
+    for base, one, times, kw in cases:
+        expected = one
+        for k in range(6):
+            assert base.__pow__(k, **kw) == expected, (base, k, kw)
+            expected = times(expected, base)
+        with pytest.raises(ValueError):
+            base.__pow__(-1, **kw)
+    assert cls.power(4, max_degree=3) == cls.__pow__(4, 3) == (cls ** 4).truncate(3)
 
 
 def test_laurent_helpers():
