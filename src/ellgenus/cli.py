@@ -5,15 +5,17 @@ Subcommands: basis (weak Jacobi form bases), chern (Chern numbers), genus
 Spaces use the grammar LETTER RANK [nodes], e.g. A4[1] for P^4 or G2[1,2]
 for the full G2 flag; --bundle takes comma-separated highest-weight
 coordinates and may repeat, turning the space into the zero locus of a
-general section.
+general section.  The argument parser is the one schema of a request:
+parse_args returns its namespace, checked and canonicalized in place.
 
-Exit codes: 0 success, 2 malformed command line, 3 mathematically invalid
-input (odd basis weight, negative Jacobi index, non-dominant or wrongly
-sized bundle weight, negative-dimensional intersection, bad degree list;
-any other ValueError propagates), 4 integration or self-check failure (no
-generic evaluation point, an unstable or non-finite float value, the two
-evaluation points of the exact self-check disagreeing, or another
-built-in consistency check failing), 5 a space with more fixed points than
+Exit codes: 0 success, 2 malformed command line (also an unsupported
+type or a crossed node out of range), 3 mathematically invalid input
+(odd basis weight, negative Jacobi index, non-dominant or wrongly sized
+bundle weight, negative-dimensional intersection, bad degree list; any
+other ValueError propagates), 4 integration or self-check failure (no
+generic evaluation point, a non-finite float value, the two evaluation
+points of the exact self-check disagreeing, or another built-in
+consistency check failing), 5 a space with more fixed points than
 roots.MAX_FIXED_POINTS or of a dimension whose universal elliptic genus
 has more Chern monomials than roots.MAX_CHERN_MONOMIALS (refused before
 any enumeration).  Results go to stdout; diagnostics to stderr.
@@ -26,7 +28,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bundles import completely_reducible_bundle
@@ -55,43 +56,6 @@ def _series_terms(series):
 
 class SpecError(ValueError):
     """Malformed command-line specification (exit code 2)."""
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """Validated description of one CLI invocation."""
-
-    command: str
-    space: str | None = None
-    bundles: tuple = ()
-    order: int = 2
-    weight: int = 0
-    double_index: int = 0
-    prec: int = 7
-    degrees: tuple = ()
-    mode: str = "exact"
-    fmt: str = "text"
-    seed: int | None = None
-
-    def to_argv(self):
-        """Command line that re-parses to this same JobSpec."""
-        argv = [self.command]
-        if self.space is not None:
-            argv += ["--space", self.space]
-        for hw in self.bundles:
-            argv += ["--bundle", ",".join(str(c) for c in hw)]
-        if self.command == "genus":
-            argv += ["--order", str(self.order)]
-        if self.command == "basis":
-            argv += ["--weight", str(self.weight),
-                     "--double-index", str(self.double_index),
-                     "--prec", str(self.prec)]
-        if self.command == "chern":
-            argv += ["--degrees", ",".join(str(d) for d in self.degrees)]
-        argv += ["--mode", self.mode, "--format", self.fmt]
-        if self.seed is not None:
-            argv += ["--seed", str(self.seed)]
-        return argv
 
 
 def parse_space(text):
@@ -127,8 +91,8 @@ def _build_parser():
             p.add_argument("--space", required=True,
                            help="homogeneous space, e.g. A4[3]")
         if bundle:
-            p.add_argument("--bundle", action="append", default=[],
-                           metavar="W1,W2,...",
+            p.add_argument("--bundle", dest="bundles", action="append",
+                           default=[], metavar="W1,W2,...",
                            help="highest weight of a section-bundle component "
                                 "(repeatable)")
         p.add_argument("--mode", choices=["exact", "float"], default="exact")
@@ -161,29 +125,21 @@ def _build_parser():
 
 
 def parse_args(argv):
-    """argv -> JobSpec; raises SpecError on malformed input."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    fields = {"command": ns.command, "mode": ns.mode, "fmt": ns.fmt,
-              "seed": ns.seed}
-    if ns.command != "basis":
+    """argv -> the parser's namespace, with the space canonicalized and
+    --bundle and --degrees as int tuples; SpecError on malformed input."""
+    ns = _build_parser().parse_args(argv)
+    if "space" in ns:
         letter, rank, crossed = parse_space(ns.space)
-        fields["space"] = f"{letter}{rank}[{','.join(str(c) for c in crossed)}]"
-    if ns.command in ("chern", "genus", "chi-y"):
-        fields["bundles"] = tuple(_int_list(b, "--bundle") for b in ns.bundle)
-    if ns.command == "basis":
-        fields["weight"] = ns.weight
-        fields["double_index"] = ns.double_index
-        fields["prec"] = ns.prec
-        if ns.prec < 0:
-            raise SpecError("--prec must be nonnegative")
-    if ns.command == "chern":
-        fields["degrees"] = _int_list(ns.degrees, "--degrees")
-    if ns.command == "genus":
-        if ns.order < 0:
-            raise SpecError("--order must be nonnegative")
-        fields["order"] = ns.order
-    return JobSpec(**fields)
+        ns.space = f"{letter}{rank}[{','.join(str(c) for c in crossed)}]"
+    if "bundles" in ns:
+        ns.bundles = tuple(_int_list(b, "--bundle") for b in ns.bundles)
+    if "degrees" in ns:
+        ns.degrees = _int_list(ns.degrees, "--degrees")
+    if getattr(ns, "prec", 0) < 0:
+        raise SpecError("--prec must be nonnegative")
+    if getattr(ns, "order", 0) < 0:
+        raise SpecError("--order must be nonnegative")
+    return ns
 
 
 def _space_parabolic(space_text):
@@ -192,50 +148,50 @@ def _space_parabolic(space_text):
     letter, rank, crossed = parse_space(space_text)
     try:
         return parabolic(f"{letter}{rank}", crossed)
-    except (UnknownType, ValueError) as err:
+    except (UnknownType, InvalidInput) as err:
         raise SpecError(str(err))
 
 
-def _build_manifold(job):
-    space = HomogeneousSpace(_space_parabolic(job.space))
-    if not job.bundles:
+def _build_manifold(args):
+    space = HomogeneousSpace(_space_parabolic(args.space))
+    if not args.bundles:
         return space
-    bundle = completely_reducible_bundle(space, [list(hw) for hw in job.bundles])
+    bundle = completely_reducible_bundle(space, [list(hw) for hw in args.bundles])
     return CompleteIntersection(bundle)
 
 
-def _payload(job, rng):
-    """Compute the job's result as a JSON-ready dict; SpecError for a
+def _payload(args, rng):
+    """Compute the request's result as a JSON-ready dict; SpecError for a
     command with no handler."""
-    if job.command == "basis":
-        elements = basis_half_integral(job.weight, job.double_index, job.prec)
-        return {"weight": job.weight, "double_index": job.double_index,
-                "order": job.prec,
+    if args.command == "basis":
+        elements = basis_half_integral(args.weight, args.double_index, args.prec)
+        return {"weight": args.weight, "double_index": args.double_index,
+                "order": args.prec,
                 "elements": [series_payload(_series_terms(e.series))
                              for e in elements]}
-    if job.command == "info":
-        p = _space_parabolic(job.space)
+    if args.command == "info":
+        p = _space_parabolic(args.space)
         space = HomogeneousSpace(p)
         return {"diagram": p.dynkin_ascii(),
                 "dimension": space.dimension(),
                 "fixed_points": space.fixed_point_count()}
-    if job.command in ("chern", "genus", "chi-y"):
-        manifold = _build_manifold(job)
-    if job.command == "chern":
-        value = chern_number(manifold, list(job.degrees), mode=job.mode, rng=rng)
+    if args.command in ("chern", "genus", "chi-y"):
+        manifold = _build_manifold(args)
+    if args.command == "chern":
+        value = chern_number(manifold, list(args.degrees), mode=args.mode, rng=rng)
         return {"value": str(value)}
-    if job.command == "genus":
-        series = elliptic_genus(manifold, job.order, mode=job.mode, rng=rng)
+    if args.command == "genus":
+        series = elliptic_genus(manifold, args.order, mode=args.mode, rng=rng)
         return {"dimension": manifold.dimension(),
                 "y_half_power": manifold.dimension(),
                 "terms": series_payload(_series_terms(series)),
-                "order": job.order}
-    if job.command == "chi-y":
-        value = chi_y(manifold, mode=job.mode, rng=rng)
+                "order": args.order}
+    if args.command == "chi-y":
+        value = chi_y(manifold, mode=args.mode, rng=rng)
         return {"dimension": manifold.dimension(),
                 "y_half_power": manifold.dimension(),
                 "coeffs": laurent_payload(sorted(value.c.items()))}
-    raise SpecError(f"unknown command {job.command!r}")
+    raise SpecError(f"unknown command {args.command!r}")
 
 
 def render_payload(payload):
@@ -259,16 +215,16 @@ def main(argv=None, rng=None):
     """Run the CLI; an injected rng overrides --seed (tests use this to
     force degenerate draws)."""
     try:
-        job = parse_args(argv)
+        args = parse_args(argv)
     except SpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     if rng is None:
-        rng = random.Random(job.seed) if job.seed is not None else random.Random()
+        rng = random.Random(args.seed) if args.seed is not None else random.Random()
     try:
-        payload = _payload(job, rng)
+        payload = _payload(args, rng)
     except _INTEGRATION_ERRORS as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return 4
@@ -281,7 +237,7 @@ def main(argv=None, rng=None):
     except _MATH_ERRORS as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 3
-    if job.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_payload(payload))

@@ -22,8 +22,9 @@ class PrecisionZero(SeriesError):
 
 class InvalidInput(EllgenusError, ValueError):
     """A request outside a function's domain: a Chern-class degree outside
-    1..dim, a highest weight with the wrong number of coordinates, or a
-    negative Jacobi index (CLI exit code 3)."""
+    1..dim, a highest weight with the wrong number of coordinates, a
+    negative Jacobi index (CLI exit code 3), or crossed nodes outside
+    1..rank (exit code 2, as a malformed space)."""
 
 
 class OddWeight(EllgenusError):
@@ -56,8 +57,8 @@ class TooLarge(EllgenusError):
 
 
 class FloatUnstable(EllgenusError):
-    """Numerical localization value did not round to a nearby small
-    rational within tolerance, or was not finite (an overflowed sum)."""
+    """Numerical localization value was not finite (an overflowed sum);
+    every finite value rounds to a rational."""
 
 
 class BaseMismatch(EllgenusError):

@@ -129,9 +129,8 @@ class HomogeneousSpace:
 
         exact mode returns a Fraction computed at two independent generic
         integer points (ConsistencyError unless equal); float mode
-        evaluates at a random real point and rounds to a nearby
-        small-denominator rational, raising FloatUnstable when no such
-        rational is close enough.
+        evaluates at a random real point and rounds it by round_float,
+        raising FloatUnstable only when the float sum is not finite.
         """
         top = f.graded_component(self.dimension())
         integrands = [lambda moved, chern: (top.evaluate(moved),)] if top else []
@@ -192,19 +191,18 @@ def two_point_sum(point_sum, n, rng):
 
 
 def round_float(value):
-    """Nearest integer when within tolerance, else a small-denominator
-    rational; FloatUnstable when neither is close enough or the value is
-    not finite (an overflowed sum)."""
+    """Nearest integer when within tolerance, else the nearest rational
+    with denominator at most 10**6.  That rational always lies within
+    5e-7 of the value, below the tolerance, so every finite value rounds:
+    FloatUnstable is raised only for a non-finite value (an overflowed
+    sum), and the rounding says nothing about stability."""
     if not isfinite(value):
         raise FloatUnstable(f"no stable rational near {value!r}")
     tol = _FLOAT_TOL * max(1.0, abs(value))
     nearest = round(value)
     if abs(nearest - value) < tol:
         return _F(nearest)
-    candidate = _F(value).limit_denominator(10 ** 6)
-    if abs(float(candidate) - value) < tol:
-        return candidate
-    raise FloatUnstable(f"no stable rational near {value!r}")
+    return _F(value).limit_denominator(10 ** 6)
 
 
 def homogeneous_space(spec, crossed):

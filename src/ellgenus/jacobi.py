@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .errors import InvalidInput, OddWeight
 from .qseries import LaurentY, QYSeries, _product_series, _rows, eisenstein
+from .taylor import _row_reduce
 
 # (s, e): the factor (1 - q^n y^s)^e for every n >= 1
 _P_FACTORS = ((1, 2), (-1, 2), (0, -4))
@@ -191,27 +192,12 @@ def linear_fit(target, elements):
         row.append(target.c.get(k2, LaurentY()).c.get(e, Fraction(0)))
         rows.append(row)
     n = len(elements)
-    # Gaussian elimination on the (possibly overdetermined) system
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
+    pivots = _row_reduce(rows, n)
     sol = [Fraction(0)] * n
     for i, col in enumerate(pivots):
         sol[col] = rows[i][-1]
-    for row in rows[r:]:
-        if row[-1]:
-            return None
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
     # verify, which also catches free columns that were genuinely needed
     acc = QYSeries.zero(prec2)
     for c, el in zip(sol, elements):

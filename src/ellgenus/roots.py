@@ -32,6 +32,7 @@ from math import gcd, lcm, prod
 
 from .errors import ConsistencyError, InvalidInput, NotPDominant, TooLarge, UnknownType
 from .render import format_dynkin
+from .taylor import _row_reduce
 
 _F = Fraction
 MAX_FIXED_POINTS = 10 ** 5
@@ -112,19 +113,13 @@ class Weight:
 
 
 def _inverse(mat):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan."""
+    """Exact inverse of a square matrix by Gauss-Jordan; ConsistencyError
+    when it is singular."""
     n = len(mat)
     aug = [[_F(v) for v in row] + [_F(1) if i == j else _F(0) for j in range(n)]
            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [v / d for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    if len(_row_reduce(aug, n)) < n:
+        raise ConsistencyError(f"singular {n}x{n} matrix")
     return [row[n:] for row in aug]
 
 
@@ -392,13 +387,12 @@ def root_system(spec):
     return RootSystem(str(letter).upper(), int(rank))
 
 
-def _walk(rs, labels, start, step, limit=None):
+def _walk(rs, labels, start, step):
     """Breadth-first walk over the W-orbit of a weight mu given by its
     pairings with the simple coroots, trying s_1..s_rank in that order
     from each point.  A step to a new point s_i mu extends the item carried
     by mu to step(item, i); steps with s_i mu = mu or onto a point already
-    seen add nothing.  Returns the items in walk order; RuntimeError once
-    there are more than limit of them."""
+    seen add nothing.  Returns the items in walk order."""
     mu = tuple(labels)
     seen = {mu}
     order = [start]
@@ -417,8 +411,6 @@ def _walk(rs, labels, start, step, limit=None):
                 new = step(item, i + 1)
                 order.append(new)
                 nxt.append((nu, new))
-                if limit is not None and len(order) > limit:
-                    raise RuntimeError("orbit larger than the given limit")
         frontier = nxt
     return order
 
@@ -429,15 +421,13 @@ def weyl_orbit(rs, weight):
                  lambda w, i: w.reflect(rs.simple_roots[i - 1]))
 
 
-def weyl_elements(rs, limit=None):
+def weyl_elements(rs):
     """All Weyl group elements, in breadth-first order of reduced words:
-    the coset walk with every node crossed, whose orbit weight rho is
-    regular, so the walk meets each element of W once.
-
-    Intended for the small groups exercised in tests; pass a limit to
-    guard against accidental use on the huge E types.
-    """
-    return _walk(rs, [1] * rs.rank, rs._identity(), rs._times_simple, limit)
+    the coset representatives of the Borel subgroup (every node crossed),
+    whose orbit weight rho is regular, so the walk meets each element of W
+    once.  TooLarge, before walking, when |W| exceeds MAX_FIXED_POINTS
+    (E7 and E8)."""
+    return ParabolicSubgroup(rs, range(1, rs.rank + 1)).coset_representatives()
 
 
 class ParabolicSubgroup:
@@ -451,9 +441,9 @@ class ParabolicSubgroup:
         self.root_system = root_system(rs)
         nodes = sorted(set(int(k) for k in crossed))
         if not nodes:
-            raise ValueError("at least one crossed node is required")
+            raise InvalidInput("at least one crossed node is required")
         if nodes[0] < 1 or nodes[-1] > self.root_system.rank:
-            raise ValueError(f"crossed nodes must lie in 1..{self.root_system.rank}")
+            raise InvalidInput(f"crossed nodes must lie in 1..{self.root_system.rank}")
         self.crossed = tuple(nodes)
         self.levi_nodes = tuple(i for i in range(1, self.root_system.rank + 1)
                                 if i not in nodes)

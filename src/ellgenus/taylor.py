@@ -7,7 +7,8 @@ operations on such lists everywhere: the elementary symmetric functions
 of a list of roots (Chern classes, as classes or as numbers at a fixed
 point) and graded division (adjunction c(TX) = c(TM)/c(E), and the Todd
 and log-Todd series).  It also holds the one square-and-multiply loop
-behind the powers of Laurent polynomials, q-series and classes.  This
+behind the powers of Laurent polynomials, q-series and classes, and the
+one Gauss-Jordan loop behind exact matrix inverses and Jacobi fits.  This
 module imports nothing from the package, so every layer can use it.
 """
 
@@ -41,6 +42,27 @@ def _graded_division(numer, denom, max_degree):
             t = t - denom[j] * out[k - j]
         out.append(t)
     return out
+
+
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan elimination in place on rows of Fractions, pivoting on
+    the first ncols columns.  Returns the pivot columns: row i then has its
+    leading 1 in column pivots[i], and later rows are zero in them."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        d = rows[r][col]
+        rows[r] = top = [v / d for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, top)]
+        pivots.append(col)
+    return pivots
 
 
 def _power(base, k, one, times=lambda a, b: a * b):

@@ -5,6 +5,7 @@ freeze exact stdout, check exit codes, and inject a rigged random source
 for the integration-failure path.
 """
 
+import argparse
 import io
 import json
 import os
@@ -205,11 +206,12 @@ def test_mathematically_invalid_requests_exit_3(argv):
 def test_input_checks_raise_invalid_input():
     from ellgenus import (EllgenusError, InvalidInput, basis_half_integral,
                           basis_integral, chern_number, homogeneous_space,
-                          root_system)
+                          parabolic, root_system)
     assert issubclass(InvalidInput, EllgenusError)
     assert issubclass(InvalidInput, ValueError)
     for bad in (lambda: chern_number(homogeneous_space("A4", [3]), [9]),
                 lambda: root_system("A4").weight_from_fundamental((1, 0)),
+                lambda: parabolic("A4", [7]),
                 lambda: basis_integral(0, -1),
                 lambda: basis_half_integral(0, -2)):
         with pytest.raises(InvalidInput):
@@ -227,6 +229,22 @@ def test_internal_value_error_is_not_reported_as_invalid_input(monkeypatch):
     monkeypatch.setattr(HomogeneousSpace, "localization_sum", broken)
     with pytest.raises(ValueError, match="internal fault"):
         run(["chern", "--space", "A4[3]", "--degrees", "6"])
+
+
+def test_internal_value_error_in_parabolic_is_not_a_malformed_space(
+        monkeypatch):
+    # only UnknownType and InvalidInput mean a malformed space; any other
+    # ValueError while building it is a fault and propagates, not exit 2
+    from ellgenus.roots import RootSystem
+
+    def broken(self, scale, scaled):
+        raise ValueError("internal fault")
+
+    assert run(["chi-y", "--space", "A4[7]"]) == (
+        2, "", "error: crossed nodes must lie in 1..4\n")
+    monkeypatch.setattr(RootSystem, "_build_roots", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run(["chi-y", "--space", "A4[1]"])
 
 
 def test_degenerate_sampling_exits_4(zero_rng):
@@ -310,16 +328,19 @@ def test_genus_refuses_huge_space_before_universal_series(argv, count, no_walk):
 
 def test_unknown_command_is_refused_not_computed():
     with pytest.raises(cli.SpecError, match="unknown command"):
-        cli._payload(cli.JobSpec(command="euler", space="A4[1]"), None)
+        cli._payload(argparse.Namespace(command="euler", space="A4[1]"), None)
 
 
 def test_unknown_command_refusal_survives_optimized_python():
     script = textwrap.dedent("""
+        import argparse
+
         from ellgenus import cli
 
         assert False, "assert statements are still active"
         try:
-            cli._payload(cli.JobSpec(command="euler", space="A4[1]"), None)
+            cli._payload(argparse.Namespace(command="euler", space="A4[1]"),
+                         None)
         except cli.SpecError:
             print("SpecError")
     """)
@@ -368,12 +389,13 @@ def test_one_parser_serves_every_command_of_a_session():
     assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 2, 0]
 
 
-def test_jobspec_round_trips_through_argv():
-    argv = ["genus", "--space", "g2[2,1]", "--order", "3",
+def test_parse_args_canonicalizes_space_and_bundles():
+    argv = ["genus", "--space", "g2[2,1]", "--bundle", "2,0", "--order", "3",
             "--mode", "float", "--format", "json", "--seed", "11"]
-    job = cli.parse_args(argv)
-    assert job.space == "G2[1,2]"  # canonical case and node order
-    assert cli.parse_args(job.to_argv()) == job
+    args = cli.parse_args(argv)
+    assert args.space == "G2[1,2]"  # canonical case and node order
+    assert args.bundles == ((2, 0),)
+    assert (args.order, args.mode, args.fmt, args.seed) == (3, "float", "json", 11)
 
 
 def test_parse_space_accepts_and_canonicalizes():

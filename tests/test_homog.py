@@ -60,6 +60,15 @@ def test_grassmannian_float_mode(rng):
     assert value == Fraction(78125)
 
 
+def test_float_mode_rounds_a_non_integral_value_to_the_exact_rational(rng):
+    # c1^6 / 7 is not an integer, so float mode takes the rational branch
+    # of round_float and must agree with exact mode
+    gr = homogeneous_space("A4", [3])
+    f = gr.chern_classes()[1].power(6) / 7
+    assert gr.integrate(f, mode="float", rng=rng) == Fraction(78125, 7)
+    assert gr.integrate(f) == Fraction(78125, 7)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_round_float_refuses_non_finite_values(value):
     with pytest.raises(FloatUnstable):

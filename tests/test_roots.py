@@ -423,10 +423,16 @@ def test_weyl_orbit_matches_reflection_bfs():
         assert weyl_orbit(rs, weight) == order
 
 
-def test_weyl_elements_limit():
-    with pytest.raises(RuntimeError):
-        weyl_elements(root_system("B3"), limit=47)
-    assert len(weyl_elements(root_system("B3"), limit=48)) == 48
+def test_inverse_of_a_singular_matrix_is_a_consistency_error():
+    assert roots._inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    with pytest.raises(ConsistencyError, match="singular"):
+        roots._inverse([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("spec,order", [("E7", 2903040), ("E8", 696729600)])
+def test_weyl_elements_of_e7_and_e8_refused_before_walking(spec, order, no_walk):
+    with pytest.raises(TooLarge, match=str(order)):
+        weyl_elements(root_system(spec))
 
 
 # every supported type through rank 8
