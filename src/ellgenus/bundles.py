@@ -13,7 +13,7 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 from .cohomology import CohomologyClass
-from .errors import BaseMismatch, WedgeTooLarge
+from .errors import BaseMismatch, InvalidInput, WedgeTooLarge
 from .roots import Weight
 from .taylor import _elementary, todd_coefficients
 
@@ -63,7 +63,7 @@ class EquivariantVectorBundle:
 
     def symmetric_power(self, k):
         if k < 0:
-            raise ValueError("negative symmetric power")
+            raise InvalidInput("negative symmetric power")
         sums = [_weight_sum(self.base, chosen)
                 for chosen in combinations_with_replacement(self.weights, k)]
         return EquivariantVectorBundle(self.base, sums)

@@ -70,10 +70,6 @@ class CohomologyClass:
     def __hash__(self):
         return hash((self.n, frozenset(self.c.items())))
 
-    def degree(self):
-        """Largest total degree present (-1 for the zero class)."""
-        return max((sum(e) for e in self.c), default=-1)
-
     def graded_component(self, d):
         return CohomologyClass(self.n, {e: c for e, c in self.c.items() if sum(e) == d})
 

@@ -16,15 +16,16 @@ class DivisionByNonUnit(SeriesError):
 
 
 class PrecisionZero(SeriesError):
-    """An operation needed coefficients outside the retained window of a
-    precision-zero series."""
+    """A coefficient was needed beyond a series' retained precision: past
+    its q-order, or in a division of precision-zero series."""
 
 
 class InvalidInput(EllgenusError, ValueError):
     """A request outside a function's domain: a Chern-class degree outside
     1..dim, a highest weight with the wrong number of coordinates, a
-    negative Jacobi index (CLI exit code 3), or crossed nodes outside
-    1..rank (exit code 2, as a malformed space)."""
+    negative Jacobi index (CLI exit code 3), crossed nodes outside 1..rank
+    (exit code 2, as a malformed space), a negative symmetric power, or a
+    Jacobi basis monomial whose weight or double index is wrong."""
 
 
 class OddWeight(EllgenusError):
@@ -66,7 +67,7 @@ class BaseMismatch(EllgenusError):
 
 
 class WedgeTooLarge(EllgenusError):
-    """Exterior power degree exceeds the bundle rank."""
+    """Exterior power of negative degree; above the rank it is rank 0."""
 
 
 class NegativeDimension(EllgenusError):

@@ -46,7 +46,7 @@ from math import factorial
 
 from .ci import chern_number, chern_numbers
 from .cohomology import CohomologyClass
-from .errors import TooLarge
+from .errors import PrecisionZero, TooLarge
 from .qseries import LaurentY, QYSeries, _product_series, _rows
 from .render import format_series
 from .roots import MAX_CHERN_MONOMIALS
@@ -157,14 +157,14 @@ class ChernSymbolSeries:
         return sorted(self.series, reverse=True)
 
     def coefficient(self, q, exponents):
-        """LaurentY coefficient of one Chern monomial at q^q; exponents is
-        the tuple (a_1, ..., a_d)."""
+        """LaurentY coefficient of one Chern monomial at q^q, exponents
+        (a_1, ..., a_d); PrecisionZero past the order, as for a QYSeries."""
         e = tuple(exponents)
         if len(e) != self.dim:
             raise ValueError(f"expected {self.dim} exponents")
-        if e not in self.series or q > self.order:
-            return LaurentY()
-        return self.series[e].coefficient(q)
+        if q > self.order:
+            raise PrecisionZero(f"q^{q} beyond retained precision")
+        return self.series[e].coefficient(q) if e in self.series else LaurentY()
 
     def substitute(self, values):
         """QYSeries obtained by replacing each Chern monomial by a number;

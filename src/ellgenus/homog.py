@@ -5,12 +5,12 @@ the Levi) and Chern/Todd classes as polynomial representatives in the
 ambient coordinates.  Every integral, over G/P or over a complete
 intersection in it, is the Atiyah-Bott fixed-point sum of
 localization_sum: at each Weyl coset representative w the point p moves
-to A_w p, the tangent Chern roots there are numbers, c(TX) is their
-elementary symmetric functions (taylor._elementary, divided by those of
-the section bundle E for a complete intersection with
-taylor._graded_division), and every integrand adds its value times
-e(E)/e(TM) to its own total.  Chern numbers multiply entries of c(TX);
-integrate(f) evaluates the polynomial f at A_w p.
+to D A_w p by w's integer matrix (see roots), the tangent Chern roots
+there are numbers, c(TX) is their elementary symmetric functions
+(taylor._elementary, divided by those of the section bundle E for a
+complete intersection with taylor._graded_division), and every integrand
+adds its value times e(E)/e(TM) to its own total.  Chern numbers
+multiply entries of c(TX); integrate(f) evaluates f at D A_w p.
 
 The sum is a constant function of the point, so localize, the one draw
 protocol, evaluates it in exact mode at a random integer point and at a
@@ -18,8 +18,8 @@ second independent point that must give the same value (ConsistencyError
 otherwise), and in float mode at one random real point in [-1, 1]^n
 rounded to a nearby small-denominator rational; no rational function is
 simplified symbolically.  Every top-degree sum is homogeneous of degree 0
-in the point, so the float scale is free, and coordinates of size 1 keep
-e(TM), a product of dim M roots, inside the float range.
+in the point, so D cancels, the float scale is free, and coordinates of
+size 1 keep e(TM), a product of dim M roots, inside the float range.
 """
 
 from __future__ import annotations
@@ -92,13 +92,15 @@ class HomogeneousSpace:
     def localization_sum(self, point, integrands, section=()):
         """Fixed-point sums at one point, one total per integrand.
 
-        At each fixed point w the point moves to A_w p, the tangent Chern
-        roots are <alpha, A_w p>, and the submanifold X cut out by a
-        section of the bundle with weights `section` (G/P itself when
-        empty) has c(TX) = c(TM)/c(E) as numbers [c_0, ..., c_dim X] and
-        the weight e(E)/e(TM).  Each integrand(moved, chern) returns the
-        factors of its class at w, and its total gains their product
-        times the weight.  Exact for Fraction coordinates, floating point
+        At each fixed point w the point moves to D A_w p by the integer
+        rows rep.scaled = D A_w; every top-degree total is homogeneous of
+        degree 0 in the point, so D cancels.  The tangent Chern roots are
+        <alpha, D A_w p>, and the submanifold X cut out by a section of the
+        bundle with weights `section` (G/P itself when empty) has
+        c(TX) = c(TM)/c(E) as numbers [c_0, ..., c_dim X] and the weight
+        e(E)/e(TM).  Each integrand(moved, chern) returns the factors of
+        its class at w, and its total gains their product times the
+        weight.  Exact for int or Fraction coordinates, floating point
         otherwise; raises DegeneratePoint when a tangent root vanishes.
         """
         dim = self.dimension() - len(section)
@@ -106,7 +108,7 @@ class HomogeneousSpace:
         totals = [0] * len(integrands)
         for rep in self.parabolic.coset_representatives():
             moved = tuple(sum(r * p for r, p in zip(row, point))
-                          for row in rep.matrix)
+                          for row in rep.scaled)
             roots = [sum(a * m for a, m in zip(alpha.coords, moved))
                      for alpha in self.tangent_weights]
             euler = prod(roots)
@@ -161,13 +163,12 @@ def localize(manifold, integrands, mode="exact", rng=None):
 
 def draw_sum(point_sum, n, rng, exact=True):
     """point_sum at the first usable random point with n coordinates:
-    integers (as Fractions) in exact mode, uniform floats in [-1, 1]
-    otherwise, where a product of many roots cannot overflow.  A
-    point on a root hyperplane (DegeneratePoint) is redrawn, at most
-    _MAX_DRAWS times."""
+    ints in exact mode, uniform floats in [-1, 1] otherwise, where a
+    product of many roots cannot overflow.  A point on a root hyperplane
+    (DegeneratePoint) is redrawn, at most _MAX_DRAWS times."""
     for _ in range(_MAX_DRAWS):
         if exact:
-            point = tuple(_F(rng.randint(-_POINT_BOUND, _POINT_BOUND))
+            point = tuple(rng.randint(-_POINT_BOUND, _POINT_BOUND)
                           for _ in range(n))
         else:
             point = tuple(rng.uniform(-1, 1) for _ in range(n))

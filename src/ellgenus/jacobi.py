@@ -84,11 +84,11 @@ class JacobiBasisElement:
     def __post_init__(self):
         weight = 4 * self.e4 + 6 * self.e6 - 2 * self.phim21
         if weight != self.weight:
-            raise ValueError(f"monomial has weight {weight}, not {self.weight}")
+            raise InvalidInput(f"monomial has weight {weight}, not {self.weight}")
         ix2 = 2 * (self.phi01 + self.phim21) + (3 if self.half_factor else 0)
         if ix2 != self.double_index:
-            raise ValueError(f"monomial has double index {ix2}, "
-                             f"not {self.double_index}")
+            raise InvalidInput(f"monomial has double index {ix2}, "
+                               f"not {self.double_index}")
 
     def label(self):
         parts = []

@@ -15,12 +15,12 @@ the orbit of lambda = sum of the crossed fundamental weights is in
 bijection with W^P, and each accepted step multiplies the carried matrix
 by a simple reflection with a rank-one update.  The update runs on
 integers: every Weyl matrix of a type has entries k/D with |k| <= D for
-one denominator D (1 for A-D, 2 for F4, 3 for G2, 4 for E6-E8), so the
-walk carries D times the matrix and takes the Fraction entries of the
-public matrix from a table of the 2D + 1 values k/D.  Cartan matrix and
-coroots come from the simple roots as integer vectors; the fundamental
-weights and the Levi Gram inverse, which only Freudenthal's recursion
-and the bundles read, are built on first use.
+one denominator D (1 for A-D, 2 for F4, 3 for G2, 4 for E6-E8), so a
+WeylElement holds only the integer matrix D M with its D.  Localization
+reads D M as it is; the Fraction matrix M is built only when asked for.
+Cartan matrix and coroots come from the simple roots as integer vectors;
+the fundamental weights and the Levi Gram inverse, which only
+Freudenthal's recursion and the bundles read, are built on first use.
 """
 
 from __future__ import annotations
@@ -128,37 +128,41 @@ def _matvec(mat, vec):
 
 
 class WeylElement:
-    """Orthogonal ambient matrix together with a reduced word.  Elements of
-    a root system's walk also carry D times the matrix in integers."""
+    """Orthogonal ambient matrix M with a reduced word, held only as the
+    integer rows `scaled` of D M for a denominator `den` = D of its entries.
+    The Fraction matrix is built on demand, and equality compares M, so
+    elements with different D can be equal."""
 
-    __slots__ = ("matrix", "word", "_scaled")
+    __slots__ = ("scaled", "den", "word")
 
-    def __init__(self, matrix, word=()):
-        self.matrix = tuple(tuple(v if isinstance(v, Fraction) else _F(v) for v in row)
-                            for row in matrix)
+    def __init__(self, scaled, den, word=()):
+        self.scaled = tuple(map(tuple, scaled))
+        self.den = den
         self.word = tuple(word)
-        self._scaled = None
 
     @classmethod
-    def identity(cls, n):
-        return cls(tuple(tuple(_F(1) if i == j else _F(0) for j in range(n))
-                         for i in range(n)))
+    def identity(cls, n, den=1):
+        return cls([[den if i == j else 0 for j in range(n)] for i in range(n)], den)
+
+    @property
+    def matrix(self):
+        return tuple(tuple(_F(v, self.den) for v in row) for row in self.scaled)
 
     @property
     def length(self):
         return len(self.word)
 
     def apply(self, weight):
-        return Weight(_matvec(self.matrix, weight.coords))
+        return Weight([v / self.den for v in _matvec(self.scaled, weight.coords)])
 
     def __mul__(self, other):
-        cols = list(zip(*other.matrix))
-        prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                     for row in self.matrix)
-        return WeylElement(prod, self.word + other.word)
+        cols = list(zip(*other.scaled))
+        prod = [[sum(a * b for a, b in zip(row, col)) for col in cols]
+                for row in self.scaled]
+        return WeylElement(prod, self.den * other.den, self.word + other.word)
 
     def inverse(self):
-        return WeylElement(tuple(zip(*self.matrix)), tuple(reversed(self.word)))
+        return WeylElement(zip(*self.scaled), self.den, reversed(self.word))
 
     def __hash__(self):
         return hash(self.matrix)
@@ -248,8 +252,7 @@ class RootSystem:
             g = gcd(*vec)
             support = [(j, a // g) for j, a in enumerate(vec) if a]
             self._coroots.append((support, sum(a * a for _, a in support)))
-        self._den = d = _DENOMINATORS.get(letter, 1)
-        self._entries = {k: _F(k, d) for k in range(-d, d + 1)}
+        self._den = _DENOMINATORS.get(letter, 1)
         self._build_roots(scale, scaled)
 
     def __repr__(self):
@@ -261,15 +264,7 @@ class RootSystem:
 
     def simple_reflection(self, i):
         """Reflection in the i-th simple root, i in 1..rank."""
-        return self._times_simple(self._identity(), i)
-
-    def _identity(self):
-        """The identity element, carrying D times its matrix for the walk."""
-        elem = WeylElement.identity(self.ambient_dim)
-        n, d = self.ambient_dim, self._den
-        elem._scaled = tuple(tuple(d if i == j else 0 for j in range(n))
-                             for i in range(n))
-        return elem
+        return self._times_simple(WeylElement.identity(self.ambient_dim, self._den), i)
 
     def _times_simple(self, elem, i):
         """elem * s_i by the rank-one update M - (M alpha_i)(alpha_i-check)^T
@@ -278,25 +273,20 @@ class RootSystem:
         alone are shared with elem; ConsistencyError when a k_r is not an
         integer, that is when D is not a denominator of the result."""
         support, norm = self._coroots[i - 1]
-        entries = self._entries
-        scaled, matrix = [], []
-        for row, frow in zip(elem._scaled, elem.matrix):
+        rows = []
+        for row in elem.scaled:
             t = 2 * sum(row[j] * a for j, a in support)
             if t:
                 k, r = divmod(t, norm)
                 if r:
                     raise ConsistencyError(f"a {self.type_name} Weyl matrix entry is "
-                                           f"not a multiple of 1/{self._den}")
+                                           f"not a multiple of 1/{elem.den}")
                 row = list(row)
                 for j, a in support:
                     row[j] -= k * a
                 row = tuple(row)
-                frow = tuple([entries[v] for v in row])
-            scaled.append(row)
-            matrix.append(frow)
-        new = WeylElement.__new__(WeylElement)
-        new.matrix, new.word, new._scaled = tuple(matrix), elem.word + (i,), tuple(scaled)
-        return new
+            rows.append(row)
+        return WeylElement(rows, elem.den, elem.word + (i,))
 
     def _build_roots(self, scale, scaled):
         """Positive roots from integer coefficient tuples: s_i maps a positive
@@ -497,7 +487,8 @@ class ParabolicSubgroup:
             self.check_fixed_point_count()
             rs = self.root_system
             labels = [int(i in self.crossed) for i in range(1, rs.rank + 1)]
-            self._reps = _walk(rs, labels, rs._identity(), rs._times_simple)
+            start = WeylElement.identity(rs.ambient_dim, rs._den)
+            self._reps = _walk(rs, labels, start, rs._times_simple)
         return self._reps
 
     def _levi_dominant(self, v):

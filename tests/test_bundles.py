@@ -10,7 +10,7 @@ from ellgenus.bundles import (EquivariantVectorBundle,
                               completely_reducible_bundle, irreducible_bundle)
 from ellgenus.ci import CompleteIntersection
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.errors import BaseMismatch, WedgeTooLarge
+from ellgenus.errors import BaseMismatch, InvalidInput, WedgeTooLarge
 from ellgenus.homog import homogeneous_space
 from ellgenus.roots import Weight
 
@@ -150,7 +150,7 @@ def test_wedge_above_rank_is_rank_zero(p4):
     assert e.wedge_power(5).rank == 0
     with pytest.raises(WedgeTooLarge):
         e.wedge_power(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         e.symmetric_power(-1)
 
 

@@ -408,3 +408,50 @@ def test_parse_space_accepts_and_canonicalizes():
 def test_parse_space_rejects_bad_grammar(text):
     with pytest.raises(cli.SpecError):
         cli.parse_space(text)
+
+
+# ---------------------------------------------------------------------------
+# the installed entry point against the README
+
+
+def _readme_examples():
+    """(argv, expected stdout) of every `$ ellgenus ...` line in README.md;
+    the expected text runs to the next blank, `$` or fence line."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ ellgenus "):
+            out = []
+            for nxt in lines[i + 1:]:
+                if not nxt or nxt.startswith(("$", "```")):
+                    break
+                out.append(nxt)
+            examples.append((line[2:].split(), "\n".join(out)))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_six_cli_examples():
+    assert len(README_EXAMPLES) == 6
+
+
+@pytest.mark.parametrize("argv,expected", README_EXAMPLES,
+                         ids=[" ".join(argv[1:]) for argv, _ in README_EXAMPLES])
+def test_readme_example_through_console_main(argv, expected, monkeypatch):
+    # console_main is the [project.scripts] target; an elided middle
+    # (" ... ") compares the prefix and the suffix around it
+    monkeypatch.setattr(sys, "argv", argv)
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as stop:
+        cli.console_main()
+    assert stop.value.code == 0
+    text = out.getvalue()
+    head, elided, tail = expected.partition(" ... ")
+    if elided:
+        assert text.startswith(head + " ") and text.endswith(" " + tail + "\n")
+        assert len(text) > len(head) + len(tail) + 3
+    else:
+        assert text == expected + "\n"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ellgenus.bundles import EquivariantVectorBundle, completely_reducible_bundle
 from ellgenus.ci import CompleteIntersection, chern_number
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.errors import TooLarge
+from ellgenus.errors import PrecisionZero, TooLarge
 from ellgenus.genus import (ChernSymbolSeries, _partition_count, _partitions,
                             chi_y, elliptic_genus, elliptic_genus_chernnum,
                             power_sum_in_elementary)
@@ -87,6 +87,18 @@ def test_chernnum_3_1_coefficients():
         {-1: Fraction(-1, 2), 0: Fraction(3, 2), 1: -1,
          2: -1, 3: Fraction(3, 2), 4: Fraction(-1, 2)})
     assert g.monomials() == [(3, 0, 0), (1, 1, 0), (0, 0, 1)]
+
+
+def test_chernnum_coefficient_beyond_order_is_precision_zero():
+    # past q^order nothing is known, for a listed monomial or an absent one,
+    # just as for the monomial's own QYSeries
+    g = elliptic_genus_chernnum(3, 1)
+    assert g.coefficient(1, (0, 3, 0)) == LaurentY()
+    for exponents in [(3, 0, 0), (0, 3, 0)]:
+        with pytest.raises(PrecisionZero):
+            g.coefficient(2, exponents)
+    with pytest.raises(PrecisionZero):
+        g.series[3, 0, 0].coefficient(2)
 
 
 def test_chernnum_dim1_is_arithmetic_genus_row():

@@ -9,7 +9,7 @@ from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import DegeneratePoint, FloatUnstable
 from ellgenus.homog import (HomogeneousSpace, draw_sum, homogeneous_space,
                             round_float)
-from ellgenus.roots import Weight, parabolic
+from ellgenus.roots import Weight, WeylElement, parabolic
 
 GR35_C2 = ("x0^2 + 4*x0*x1 + x1^2 + 4*x0*x2 + 4*x1*x2 + x2^2 - 5*x0*x3 "
            "- 5*x1*x3 - 5*x2*x3 + 3*x3^2 - 5*x0*x4 - 5*x1*x4 - 5*x2*x4 "
@@ -100,6 +100,27 @@ def test_localization_sum_of_constant_vanishes(rng):
     one = CohomologyClass.one(4)
     assert space.localization_sum(
         point, [lambda moved, chern: (one.evaluate(moved),)]) == [0]
+
+
+@pytest.mark.parametrize("spec,crossed", [("G2", [1]), ("E6", [1])])
+def test_localization_reads_only_the_integer_matrices(spec, crossed, monkeypatch):
+    # every integrand sees D A_w p in ints for an int point p; the factor D
+    # cancels from each top-degree total, and no Fraction matrix is built
+    space = homogeneous_space(spec, crossed)
+    reps = space.parabolic.coset_representatives()
+    monkeypatch.setattr(WeylElement, "matrix", property(
+        lambda self: pytest.fail("localization read a Fraction matrix")))
+    point = tuple(7 ** i for i in range(space.ambient_dim))  # on no root hyperplane
+    seen = []
+
+    def euler(moved, chern):
+        seen.append(moved)
+        return (chern[-1],)
+
+    assert space.localization_sum(point, [euler]) == [len(reps)]
+    assert seen == [tuple(sum(v * p for v, p in zip(row, point)) for row in w.scaled)
+                    for w in reps]
+    assert all(type(v) is int for moved in seen for v in moved)
 
 
 def test_integration_selects_top_degree_component():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ellgenus
-from ellgenus.errors import OddWeight
+from ellgenus.errors import InvalidInput, OddWeight
 from ellgenus.jacobi import (JacobiBasisElement, basis_half_integral,
                              basis_integral, linear_fit, phi_0_1, phi_0_3half,
                              phi_m2_1)
@@ -211,14 +211,15 @@ def test_linear_fit_with_no_elements():
 
 def test_basis_element_rejects_wrong_weight_or_index():
     one = QYSeries.one(4)
-    with pytest.raises(ValueError, match="weight"):
+    with pytest.raises(InvalidInput, match="weight"):
         JacobiBasisElement(1, 0, 0, 0, False, 0, 0, one)
-    with pytest.raises(ValueError, match="double index"):
+    with pytest.raises(InvalidInput, match="double index"):
         JacobiBasisElement(0, 0, 1, 0, True, 0, 2, one)
 
 
 def test_basis_element_check_survives_optimized_python():
     script = textwrap.dedent("""
+        from ellgenus.errors import InvalidInput
         from ellgenus.jacobi import JacobiBasisElement
         from ellgenus.qseries import QYSeries
 
@@ -226,8 +227,8 @@ def test_basis_element_check_survives_optimized_python():
         for args in ((1, 0, 0, 0, False, 0, 0), (0, 0, 1, 0, True, 0, 2)):
             try:
                 JacobiBasisElement(*args, QYSeries.one(4))
-            except ValueError:
-                print("ValueError")
+            except InvalidInput:
+                print("InvalidInput")
     """)
     src = str(Path(ellgenus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -235,4 +236,4 @@ def test_basis_element_check_survives_optimized_python():
                             capture_output=True, text=True, env=env,
                             timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["ValueError"] * 2
+    assert result.stdout.split() == ["InvalidInput"] * 2

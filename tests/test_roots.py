@@ -138,6 +138,27 @@ def test_weyl_element_algebra():
         assert a.reflect(a).reflect(a) == a
 
 
+@pytest.mark.parametrize("spec,den", [("A3", 1), ("G2", 3), ("F4", 2), ("E6", 4)])
+def test_weyl_element_holds_one_integer_matrix(spec, den):
+    # the walk's elements hold D M in ints with the type's D; the Fraction
+    # matrix is built from it, and equality ignores D
+    rs = root_system(spec)
+    for w in weyl_elements(rs)[:50]:
+        assert w.den == den
+        assert all(type(v) is int for row in w.scaled for v in row)
+        assert w.matrix == tuple(tuple(Fraction(v, den) for v in row)
+                                 for row in w.scaled)
+        assert w.apply(rs.simple_roots[0]) == Weight(
+            [sum(m * a for m, a in zip(row, rs.simple_roots[0])) for row in w.matrix])
+    n = rs.ambient_dim
+    one, scaled_one = WeylElement.identity(n), WeylElement.identity(n, den)
+    assert one == scaled_one and hash(one) == hash(scaled_one)
+    s = rs.simple_reflection(1)
+    assert s * s == one
+    assert (s * s).den == den * den
+    assert s.inverse() == s
+
+
 def test_reflections_permute_roots():
     for spec in ["A3", "B2", "G2"]:
         rs = root_system(spec)
