@@ -13,8 +13,8 @@ from .ci import (CompleteIntersection, chern_number, chern_numbers,
                  complete_intersection)
 from .cohomology import CohomologyClass
 from .errors import (BaseMismatch, ConsistencyError, DegeneratePoint,
-                     DivisionByNonUnit, EllgenusError, FloatUnstable,
-                     InvalidInput, NegativeDimension, NotPDominant, OddWeight,
+                     DivisionByNonUnit, EllgenusError, InvalidInput,
+                     NegativeDimension, NotPDominant, OddWeight,
                      PrecisionZero, SeriesError, TooLarge, UnknownType,
                      WedgeTooLarge)
 from .genus import (ChernSymbolSeries, chi_y, elliptic_genus,
@@ -33,7 +33,7 @@ __all__ = [
     "BaseMismatch", "ChernSymbolSeries", "CohomologyClass",
     "CompleteIntersection", "ConsistencyError", "DegeneratePoint",
     "DivisionByNonUnit", "EllgenusError", "EquivariantVectorBundle",
-    "FloatUnstable", "HomogeneousSpace", "InvalidInput", "JacobiBasisElement",
+    "HomogeneousSpace", "InvalidInput", "JacobiBasisElement",
     "LaurentY", "NegativeDimension", "NotPDominant", "OddWeight",
     "ParabolicSubgroup", "PrecisionZero", "QYSeries", "RootSystem",
     "SeriesError", "TooLarge", "UnknownType", "WedgeTooLarge", "Weight",

@@ -80,12 +80,11 @@ def complete_intersection(bundle):
     return CompleteIntersection(bundle)
 
 
-def chern_numbers(manifold, degree_lists, mode="exact", rng=None):
+def chern_numbers(manifold, degree_lists, rng=None):
     """Chern numbers int prod_j c_{d_j} over the manifold, one per list of
     degrees d_j, from a single localization pass over the fixed points per
-    evaluation point (two agreeing integer points in exact mode, one
-    rounded float point in float mode).  Lists whose degrees do not sum to
-    the dimension give 0 without integrating."""
+    evaluation point (two agreeing integer points).  Lists whose degrees
+    do not sum to the dimension give 0 without integrating."""
     dim = manifold.dimension()
     lists = [[int(k) for k in degrees] for degrees in degree_lists]
     for degrees in lists:
@@ -95,11 +94,11 @@ def chern_numbers(manifold, degree_lists, mode="exact", rng=None):
     wanted = [degrees for degrees in lists if sum(degrees) == dim]
     integrands = [lambda moved, chern, degrees=degrees:
                   (chern[k] for k in degrees) for degrees in wanted]
-    values = iter(localize(manifold, integrands, mode, rng))
+    values = iter(localize(manifold, integrands, rng))
     return [next(values) if sum(degrees) == dim else _F(0) for degrees in lists]
 
 
-def chern_number(manifold, degrees, mode="exact", rng=None):
+def chern_number(manifold, degrees, rng=None):
     """int of the product of c_{degrees[i]} over the manifold; 0 without
     integrating when the degrees do not sum to the dimension."""
-    return chern_numbers(manifold, [degrees], mode=mode, rng=rng)[0]
+    return chern_numbers(manifold, [degrees], rng=rng)[0]

@@ -13,12 +13,12 @@ type or a crossed node out of range), 3 mathematically invalid input
 (odd basis weight, negative Jacobi index, non-dominant or wrongly sized
 bundle weight, negative-dimensional intersection, bad degree list; any
 other ValueError propagates), 4 integration or self-check failure (no
-generic evaluation point, a non-finite float value, the two evaluation
-points of the exact self-check disagreeing, or another built-in
-consistency check failing), 5 a space with more fixed points than
-roots.MAX_FIXED_POINTS or of a dimension whose universal elliptic genus
-has more Chern monomials than roots.MAX_CHERN_MONOMIALS (refused before
-any enumeration).  Results go to stdout; diagnostics to stderr.
+generic evaluation point, the two evaluation points of the exact
+self-check disagreeing, or another built-in consistency check failing),
+5 a space with more fixed points than roots.MAX_FIXED_POINTS or of a
+dimension whose universal elliptic genus has more Chern monomials than
+roots.MAX_CHERN_MONOMIALS (refused before any enumeration).  Results go
+to stdout; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from functools import lru_cache
 
 from .bundles import completely_reducible_bundle
 from .ci import CompleteIntersection, chern_number
-from .errors import (ConsistencyError, DegeneratePoint, FloatUnstable,
-                     InvalidInput, NegativeDimension, NotPDominant, OddWeight,
-                     TooLarge, UnknownType)
+from .errors import (ConsistencyError, DegeneratePoint, InvalidInput,
+                     NegativeDimension, NotPDominant, OddWeight, TooLarge,
+                     UnknownType)
 from .genus import chi_y, elliptic_genus
 from .homog import HomogeneousSpace
 from .jacobi import basis_half_integral
@@ -45,7 +45,7 @@ from .roots import parabolic
 _SPACE_RE = re.compile(r"([A-Ga-g])(\d+)\[(\d+(?:,\d+)*)\]")
 
 _MATH_ERRORS = (NotPDominant, NegativeDimension, OddWeight, InvalidInput)
-_INTEGRATION_ERRORS = (ConsistencyError, DegeneratePoint, FloatUnstable)
+_INTEGRATION_ERRORS = (ConsistencyError, DegeneratePoint)
 
 
 def _series_terms(series):
@@ -95,7 +95,6 @@ def _build_parser():
                            default=[], metavar="W1,W2,...",
                            help="highest weight of a section-bundle component "
                                 "(repeatable)")
-        p.add_argument("--mode", choices=["exact", "float"], default="exact")
         p.add_argument("--format", dest="fmt", choices=["text", "json"],
                        default="text")
         p.add_argument("--seed", type=int, default=None)
@@ -178,16 +177,16 @@ def _payload(args, rng):
     if args.command in ("chern", "genus", "chi-y"):
         manifold = _build_manifold(args)
     if args.command == "chern":
-        value = chern_number(manifold, list(args.degrees), mode=args.mode, rng=rng)
+        value = chern_number(manifold, list(args.degrees), rng=rng)
         return {"value": str(value)}
     if args.command == "genus":
-        series = elliptic_genus(manifold, args.order, mode=args.mode, rng=rng)
+        series = elliptic_genus(manifold, args.order, rng=rng)
         return {"dimension": manifold.dimension(),
                 "y_half_power": manifold.dimension(),
                 "terms": series_payload(_series_terms(series)),
                 "order": args.order}
     if args.command == "chi-y":
-        value = chi_y(manifold, mode=args.mode, rng=rng)
+        value = chi_y(manifold, rng=rng)
         return {"dimension": manifold.dimension(),
                 "y_half_power": manifold.dimension(),
                 "coeffs": laurent_payload(sorted(value.c.items()))}

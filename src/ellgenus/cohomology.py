@@ -3,8 +3,7 @@
 Cohomology classes of a homogeneous space are represented by polynomial
 lifts in the Chern roots of the ambient torus; they are never reduced
 modulo relations, since every computation ends in evaluation at explicit
-points.  Coefficients are exact rationals (floats appear only when a
-class is evaluated at a float point).  The same type serves the
+points.  Coefficients are exact rationals.  The same type serves the
 symmetric-function bookkeeping of genus: a polynomial in the elementary
 symmetric functions e_1..e_d is a class in d variables.
 """
@@ -137,13 +136,12 @@ class CohomologyClass:
 
     def evaluate(self, point):
         """Value at a point: an exact Fraction for int and Fraction
-        coordinates, a float once any coordinate is a float."""
+        coordinates."""
         if len(point) != self.n:
             raise ValueError("point has the wrong dimension")
-        exact = not any(isinstance(p, float) for p in point)
-        total = _F(0) if exact else 0.0
+        total = _F(0)
         for e, c in self.c.items():
-            term = c if exact else float(c)
+            term = c
             for p, k in zip(point, e):
                 if k:
                     term = term * p ** k

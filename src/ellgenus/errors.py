@@ -24,8 +24,11 @@ class InvalidInput(EllgenusError, ValueError):
     """A request outside a function's domain: a Chern-class degree outside
     1..dim, a highest weight with the wrong number of coordinates, a
     negative Jacobi index (CLI exit code 3), crossed nodes outside 1..rank
-    (exit code 2, as a malformed space), a negative symmetric power, or a
-    Jacobi basis monomial whose weight or double index is wrong."""
+    (exit code 2, as a malformed space), a negative symmetric power, a
+    Jacobi basis monomial whose weight or double index is wrong, a
+    universal elliptic genus of dimension below 1 or of negative q-order,
+    a Chern monomial with the wrong number of exponents, or a power sum
+    index outside 1..dim."""
 
 
 class OddWeight(EllgenusError):
@@ -55,11 +58,6 @@ class TooLarge(EllgenusError):
     """The request would enumerate more fixed points than
     roots.MAX_FIXED_POINTS, or build a universal elliptic genus over more
     Chern monomials than roots.MAX_CHERN_MONOMIALS."""
-
-
-class FloatUnstable(EllgenusError):
-    """Numerical localization value was not finite (an overflowed sum);
-    every finite value rounds to a rational."""
 
 
 class BaseMismatch(EllgenusError):

@@ -46,7 +46,7 @@ from math import factorial
 
 from .ci import chern_number, chern_numbers
 from .cohomology import CohomologyClass
-from .errors import PrecisionZero, TooLarge
+from .errors import InvalidInput, PrecisionZero, TooLarge
 from .qseries import LaurentY, QYSeries, _product_series, _rows
 from .render import format_series
 from .roots import MAX_CHERN_MONOMIALS
@@ -130,7 +130,7 @@ def power_sum_in_elementary(m, dim):
     e_i, by Newton's identity
     p_m = sum_{i<m} (-1)^{i-1} e_i p_{m-i} + (-1)^{m-1} m e_m."""
     if not 1 <= m <= dim:
-        raise ValueError("power sum index out of range")
+        raise InvalidInput("power sum index out of range")
     e = lambda i: CohomologyClass.linear_form([int(j == i - 1) for j in range(dim)])
     total = e(m) * ((-1) ** (m - 1) * m)
     for i in range(1, m):
@@ -161,7 +161,7 @@ class ChernSymbolSeries:
         (a_1, ..., a_d); PrecisionZero past the order, as for a QYSeries."""
         e = tuple(exponents)
         if len(e) != self.dim:
-            raise ValueError(f"expected {self.dim} exponents")
+            raise InvalidInput(f"expected {self.dim} exponents")
         if q > self.order:
             raise PrecisionZero(f"q^{q} beyond retained precision")
         return self.series[e].coefficient(q) if e in self.series else LaurentY()
@@ -199,9 +199,9 @@ def elliptic_genus_chernnum(dim, k):
     monomials; multiplied by y^{dim/2} so y-exponents are integers.
     TooLarge, before any work, past MAX_CHERN_MONOMIALS monomials."""
     if dim < 1:
-        raise ValueError("dimension must be at least 1")
+        raise InvalidInput("dimension must be at least 1")
     if k < 0:
-        raise ValueError("q-order must be nonnegative")
+        raise InvalidInput("q-order must be nonnegative")
     count = _partition_count(dim)
     if count > MAX_CHERN_MONOMIALS:
         raise TooLarge(f"a {dim}-fold's universal elliptic genus has {count} "
@@ -229,14 +229,14 @@ def elliptic_genus_chernnum(dim, k):
                                       for emon, series in in_e.items()})
 
 
-def elliptic_genus(manifold, k, mode="exact", rng=None):
+def elliptic_genus(manifold, k, rng=None):
     """Elliptic genus of a homogeneous space or complete intersection to
     q-order k (multiplied by y^{d/2}), substituting its Chern numbers,
     all computed in one chern_numbers call, into the universal expression."""
     dim = manifold.dimension()
     rng = rng if rng is not None else random.Random()
     if dim == 0:
-        points = chern_number(manifold, [], mode=mode, rng=rng)
+        points = chern_number(manifold, [], rng=rng)
         return QYSeries.const(points, 2 * k)
     # the fixed-point guard runs first and without walking; the universal
     # series then checks its own size, both before any work
@@ -245,11 +245,11 @@ def elliptic_genus(manifold, k, mode="exact", rng=None):
     monomials = universal.monomials()
     degree_lists = [[m for m, e in enumerate(emon, start=1) for _ in range(e)]
                     for emon in monomials]
-    values = chern_numbers(manifold, degree_lists, mode=mode, rng=rng)
+    values = chern_numbers(manifold, degree_lists, rng=rng)
     return universal.substitute(dict(zip(monomials, values)))
 
 
-def chi_y(manifold, mode="exact", rng=None):
+def chi_y(manifold, rng=None):
     """chi_y genus (times y^{d/2}): the q^0 coefficient of the elliptic
     genus."""
-    return elliptic_genus(manifold, 0, mode=mode, rng=rng).coefficient(0)
+    return elliptic_genus(manifold, 0, rng=rng).coefficient(0)

@@ -13,30 +13,26 @@ adds its value times e(E)/e(TM) to its own total.  Chern numbers
 multiply entries of c(TX); integrate(f) evaluates f at D A_w p.
 
 The sum is a constant function of the point, so localize, the one draw
-protocol, evaluates it in exact mode at a random integer point and at a
-second independent point that must give the same value (ConsistencyError
-otherwise), and in float mode at one random real point in [-1, 1]^n
-rounded to a nearby small-denominator rational; no rational function is
-simplified symbolically.  Every top-degree sum is homogeneous of degree 0
-in the point, so D cancels, the float scale is free, and coordinates of
-size 1 keep e(TM), a product of dim M roots, inside the float range.
+protocol, evaluates it exactly at a random integer point and at a second
+independent point that must give the same value (ConsistencyError
+otherwise); no rational function is simplified symbolically.  Every
+top-degree sum is homogeneous of degree 0 in the point, so D cancels.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isfinite, prod
+from math import prod
 
 from . import bundles
-from .errors import ConsistencyError, DegeneratePoint, FloatUnstable
+from .errors import ConsistencyError, DegeneratePoint
 from .roots import ParabolicSubgroup
 from .taylor import _elementary, _graded_division
 
 _F = Fraction
 _POINT_BOUND = 10 ** 6
 _MAX_DRAWS = 32
-_FLOAT_TOL = 1e-6
 
 
 class HomogeneousSpace:
@@ -100,8 +96,8 @@ class HomogeneousSpace:
         c(TX) = c(TM)/c(E) as numbers [c_0, ..., c_dim X] and the weight
         e(E)/e(TM).  Each integrand(moved, chern) returns the factors of
         its class at w, and its total gains their product times the
-        weight.  Exact for int or Fraction coordinates, floating point
-        otherwise; raises DegeneratePoint when a tangent root vanishes.
+        weight.  Exact for int or Fraction coordinates; raises
+        DegeneratePoint when a tangent root vanishes.
         """
         dim = self.dimension() - len(section)
         section = [beta.coords for beta in section]
@@ -126,27 +122,21 @@ class HomogeneousSpace:
                 totals[i] += prod(integrand(moved, chern), start=weight)
         return totals
 
-    def integrate(self, f, mode="exact", rng=None):
-        """Integral of the top-degree component of f over the manifold.
-
-        exact mode returns a Fraction computed at two independent generic
-        integer points (ConsistencyError unless equal); float mode
-        evaluates at a random real point and rounds it by round_float,
-        raising FloatUnstable only when the float sum is not finite.
-        """
+    def integrate(self, f, rng=None):
+        """Integral of the top-degree component of f over the manifold, a
+        Fraction computed at two independent generic integer points
+        (ConsistencyError unless equal)."""
         top = f.graded_component(self.dimension())
         integrands = [lambda moved, chern: (top.evaluate(moved),)] if top else []
-        values = localize(self, integrands, mode, rng)
+        values = localize(self, integrands, rng)
         return values[0] if values else _F(0)
 
 
-def localize(manifold, integrands, mode="exact", rng=None):
+def localize(manifold, integrands, rng=None):
     """Integrals over a G/P or a complete intersection in one, one per
-    integrand of localization_sum, by the draw protocol: two agreeing
-    integer points in exact mode, one float point rounded by round_float
-    in float mode.  The only place that checks `mode`."""
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown integration mode {mode!r}")
+    integrand of localization_sum, by the draw protocol: the exact sums at
+    two independent integer points.  A localization sum does not depend
+    on the point, so the two must agree; ConsistencyError otherwise."""
     if not integrands:
         return []
     space = manifold.ambient
@@ -155,55 +145,26 @@ def localize(manifold, integrands, mode="exact", rng=None):
     def point_sum(point):
         return space.localization_sum(point, integrands, manifold.section)
 
-    if mode == "float":
-        raw = draw_sum(point_sum, space.ambient_dim, rng, exact=False)
-        return [round_float(value) for value in raw]
-    return two_point_sum(point_sum, space.ambient_dim, rng)
-
-
-def draw_sum(point_sum, n, rng, exact=True):
-    """point_sum at the first usable random point with n coordinates:
-    ints in exact mode, uniform floats in [-1, 1] otherwise, where a
-    product of many roots cannot overflow.  A point on a root hyperplane
-    (DegeneratePoint) is redrawn, at most _MAX_DRAWS times."""
-    for _ in range(_MAX_DRAWS):
-        if exact:
-            point = tuple(rng.randint(-_POINT_BOUND, _POINT_BOUND)
-                          for _ in range(n))
-        else:
-            point = tuple(rng.uniform(-1, 1) for _ in range(n))
-        try:
-            return point_sum(point)
-        except DegeneratePoint:
-            continue
-    raise DegeneratePoint(f"no usable point in {_MAX_DRAWS} draws")
-
-
-def two_point_sum(point_sum, n, rng):
-    """Exact point_sum at two independent points.  A localization sum does
-    not depend on the point, so the two values must agree; ConsistencyError
-    otherwise."""
-    first = draw_sum(point_sum, n, rng)
-    second = draw_sum(point_sum, n, rng)
+    first = draw_sum(point_sum, space.ambient_dim, rng)
+    second = draw_sum(point_sum, space.ambient_dim, rng)
     if first != second:
         raise ConsistencyError(
             f"localization sum not constant between points: {first} != {second}")
     return first
 
 
-def round_float(value):
-    """Nearest integer when within tolerance, else the nearest rational
-    with denominator at most 10**6.  That rational always lies within
-    5e-7 of the value, below the tolerance, so every finite value rounds:
-    FloatUnstable is raised only for a non-finite value (an overflowed
-    sum), and the rounding says nothing about stability."""
-    if not isfinite(value):
-        raise FloatUnstable(f"no stable rational near {value!r}")
-    tol = _FLOAT_TOL * max(1.0, abs(value))
-    nearest = round(value)
-    if abs(nearest - value) < tol:
-        return _F(nearest)
-    return _F(value).limit_denominator(10 ** 6)
+def draw_sum(point_sum, n, rng):
+    """point_sum at the first usable random point of n integer
+    coordinates.  A point on a root hyperplane (DegeneratePoint) is
+    redrawn, at most _MAX_DRAWS times."""
+    for _ in range(_MAX_DRAWS):
+        point = tuple(rng.randint(-_POINT_BOUND, _POINT_BOUND)
+                      for _ in range(n))
+        try:
+            return point_sum(point)
+        except DegeneratePoint:
+            continue
+    raise DegeneratePoint(f"no usable point in {_MAX_DRAWS} draws")
 
 
 def homogeneous_space(spec, crossed):

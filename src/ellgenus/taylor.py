@@ -1,7 +1,7 @@
 """Coefficient lists in one grading variable.
 
 A list [a_0, a_1, ...] holds the graded pieces of a truncated series; its
-entries are numbers (Fractions, or floats at a float point) or
+entries are numbers (ints or Fractions) or
 homogeneous classes of any type with +, - and *.  The package uses two
 operations on such lists everywhere: the elementary symmetric functions
 of a list of roots (Chern classes, as classes or as numbers at a fixed

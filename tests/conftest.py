@@ -15,9 +15,6 @@ class RiggedZeroRng:
     def randint(self, a, b):
         return 0
 
-    def uniform(self, a, b):
-        return 0.0
-
 
 @pytest.fixture
 def zero_rng():

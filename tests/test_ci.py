@@ -15,7 +15,7 @@ from ellgenus.ci import (CompleteIntersection, chern_number, chern_numbers,
                          complete_intersection)
 from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import ConsistencyError, DegeneratePoint
-from ellgenus.homog import HomogeneousSpace, draw_sum, homogeneous_space
+from ellgenus.homog import HomogeneousSpace, homogeneous_space
 
 
 def _ci(space_spec, crossed, highest_weights):
@@ -128,17 +128,6 @@ def test_complete_intersection_in_grassmannian():
     assert val.denominator == 1 and val % 2 == 0
 
 
-def test_float_mode_matches_exact(quintic, rng):
-    assert chern_number(quintic, [3], mode="float", rng=rng) == -200
-    c3 = quintic.chern_classes()[3]
-    raw, = draw_sum(
-        lambda point: quintic.ambient.localization_sum(
-            point, [lambda moved, chern: (c3.evaluate(moved),)],
-            quintic.section),
-        quintic.ambient_dim, rng, exact=False)
-    assert abs(raw + 200) < 1e-6
-
-
 # --- chern_numbers: the fixed-point-first path ---------------------------------
 
 
@@ -205,8 +194,8 @@ def test_integrate_matches_euler_class_pushforward(name, rng):
     for f in integrands:
         assert manifold.integrate(f) == manifold.ambient.integrate(pushed(f))
     top = classes[dim]
-    assert (manifold.integrate(top, mode="float", rng=rng)
-            == manifold.ambient.integrate(pushed(top), mode="float", rng=rng))
+    assert (manifold.integrate(top, rng=rng)
+            == manifold.ambient.integrate(pushed(top), rng=rng))
 
 
 def test_chern_numbers_validation(quintic):
@@ -217,22 +206,14 @@ def test_chern_numbers_validation(quintic):
     for bad in ([4], [0, 3], [-1, 4]):
         with pytest.raises(ValueError):
             chern_numbers(quintic, [[3], bad])
-    with pytest.raises(ValueError):
-        chern_numbers(quintic, [[3]], mode="symbolic")
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_chern_numbers_degenerate_points_raise(k3, zero_rng, mode):
+def test_chern_numbers_degenerate_points_raise(k3, zero_rng):
     # P3 and the quartic K3 in it: a G/P and a complete intersection
     for manifold in (k3.ambient, k3):
         top = manifold.dimension()
         with pytest.raises(DegeneratePoint):
-            chern_numbers(manifold, [[top], [1] * top], mode=mode, rng=zero_rng)
-
-
-def test_chern_numbers_float_mode(quintic, rng):
-    assert chern_numbers(quintic, [[3], [1, 2]], mode="float",
-                         rng=rng) == [-200, 0]
+            chern_numbers(manifold, [[top], [1] * top], rng=zero_rng)
 
 
 def test_disagreeing_points_raise_consistency_error(quintic,

@@ -248,37 +248,28 @@ def test_internal_value_error_in_parabolic_is_not_a_malformed_space(
 
 
 def test_degenerate_sampling_exits_4(zero_rng):
-    argv = ["chern", "--space", "A4[3]", "--degrees", "1,1,1,1,1,1",
-            "--mode", "float"]
+    argv = ["chern", "--space", "A4[3]", "--degrees", "1,1,1,1,1,1"]
     code, out, err = run(argv, rng=zero_rng)
     assert code == 4
     assert out == ""
     assert "integration failed" in err
 
 
-@pytest.mark.parametrize("seed", ["1", "2", "3"])
-def test_float_sum_on_e8_stays_finite(seed):
-    # e(TM) of E8[8] is a product of 57 tangent roots; float points in
-    # [-1, 1] keep it in range, and the Euler number is |W^P| = 240
-    argv = ["chern", "--space", "E8[8]", "--degrees", "57", "--mode", "float",
-            "--seed", seed]
+def test_euler_number_of_e8_8_is_240():
+    # the one 57-dimensional integral: e(TM) of E8[8] is a product of 57
+    # tangent roots, and its Euler number is |W^P| = 240
+    argv = ["chern", "--space", "E8[8]", "--degrees", "57", "--seed", "1"]
     assert run(argv) == (0, "240\n", "")
 
 
-def test_overflowed_float_sum_exits_4(monkeypatch):
-    # an overflowed float sum is NaN; it is refused, not printed
-    from ellgenus.homog import HomogeneousSpace
-
-    def overflowed(self, point, integrands, section=()):
-        return [float("nan")] * len(integrands)
-
-    monkeypatch.setattr(HomogeneousSpace, "localization_sum", overflowed)
-    argv = ["chern", "--space", "E8[8]", "--degrees", "57", "--mode", "float",
-            "--seed", "1"]
-    code, out, err = run(argv)
-    assert code == 4
-    assert out == ""
-    assert "integration failed: no stable rational near nan" in err
+@pytest.mark.parametrize("command", [
+    ["chern", "--degrees", "1,1,1,1,1,1"], ["genus"], ["chi-y"],
+], ids=lambda argv: argv[0])
+def test_mode_option_is_refused(command):
+    # every integral is exact; there is no float mode to select
+    code, out, err = run(command + ["--space", "A4[3]", "--mode", "float"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --mode float" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,9 +344,9 @@ def test_unknown_command_refusal_survives_optimized_python():
     assert result.stdout.strip() == "SpecError"
 
 
-def test_float_mode_with_seed_is_deterministic():
+def test_seeded_run_is_deterministic():
     argv = ["chern", "--space", "A4[3]", "--degrees", "1,1,1,1,1,1",
-            "--mode", "float", "--seed", "7"]
+            "--seed", "7"]
     first = run(argv)
     second = run(argv)
     assert first == second
@@ -391,11 +382,11 @@ def test_one_parser_serves_every_command_of_a_session():
 
 def test_parse_args_canonicalizes_space_and_bundles():
     argv = ["genus", "--space", "g2[2,1]", "--bundle", "2,0", "--order", "3",
-            "--mode", "float", "--format", "json", "--seed", "11"]
+            "--format", "json", "--seed", "11"]
     args = cli.parse_args(argv)
     assert args.space == "G2[1,2]"  # canonical case and node order
     assert args.bundles == ((2, 0),)
-    assert (args.order, args.mode, args.fmt, args.seed) == (3, "float", "json", 11)
+    assert (args.order, args.fmt, args.seed) == (3, "json", 11)
 
 
 def test_parse_space_accepts_and_canonicalizes():

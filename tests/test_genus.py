@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ellgenus.bundles import EquivariantVectorBundle, completely_reducible_bundle
 from ellgenus.ci import CompleteIntersection, chern_number
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.errors import PrecisionZero, TooLarge
+from ellgenus.errors import InvalidInput, PrecisionZero, TooLarge
 from ellgenus.genus import (ChernSymbolSeries, _partition_count, _partitions,
                             chi_y, elliptic_genus, elliptic_genus_chernnum,
                             power_sum_in_elementary)
@@ -191,10 +191,15 @@ def test_chernnum_listing_digests(dim, k):
 
 
 def test_chernnum_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         elliptic_genus_chernnum(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         elliptic_genus_chernnum(2, -1)
+    with pytest.raises(InvalidInput):
+        elliptic_genus_chernnum(2, 1).coefficient(0, (2, 0, 0))
+    for m in (0, 3):
+        with pytest.raises(InvalidInput):
+            power_sum_in_elementary(m, 2)
 
 
 def test_substitute_matches_direct_genus():
@@ -384,6 +389,8 @@ def test_chi_y_top_coefficient_counts_todd_genus(k3):
 
 @pytest.mark.parametrize("spec,crossed", [
     ("A5", [2]), ("C3", [1, 2, 3]), ("D5", [5]), ("B3", [2]), ("G2", [1, 2]),
+    # exceptional spaces of dimension 15 and 16
+    ("F4", [1]), ("E6", [1]),
 ])
 def test_chi_y_counts_bruhat_cells(spec, crossed):
     # h^{p,q}(G/P) = 0 for p != q and h^{p,p} counts the Schubert cells of

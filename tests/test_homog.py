@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.errors import DegeneratePoint, FloatUnstable
-from ellgenus.homog import (HomogeneousSpace, draw_sum, homogeneous_space,
-                            round_float)
+from ellgenus.errors import DegeneratePoint
+from ellgenus.homog import HomogeneousSpace, homogeneous_space
 from ellgenus.roots import Weight, WeylElement, parabolic
 
 GR35_C2 = ("x0^2 + 4*x0*x1 + x1^2 + 4*x0*x2 + 4*x1*x2 + x2^2 - 5*x0*x3 "
@@ -46,33 +45,11 @@ def test_grassmannian_listing_and_numbers():
     assert gr.integrate(cs[3] * cs[4]) == 0
 
 
-def test_grassmannian_float_mode(rng):
-    gr = homogeneous_space("A4", [3])
-    c1 = gr.chern_classes()[1]
-    top = c1.power(6)
-    raw, = draw_sum(
-        lambda point: gr.localization_sum(
-            point, [lambda moved, chern: (top.evaluate(moved),)]),
-        gr.ambient_dim, rng, exact=False)
-    assert isinstance(raw, float)
-    assert abs(raw - 78125) < 1e-3
-    value = gr.integrate(c1.power(6), mode="float", rng=rng)
-    assert value == Fraction(78125)
-
-
-def test_float_mode_rounds_a_non_integral_value_to_the_exact_rational(rng):
-    # c1^6 / 7 is not an integer, so float mode takes the rational branch
-    # of round_float and must agree with exact mode
+def test_non_integral_integral_is_the_exact_rational():
+    # c1^6 / 7 is not an integer
     gr = homogeneous_space("A4", [3])
     f = gr.chern_classes()[1].power(6) / 7
-    assert gr.integrate(f, mode="float", rng=rng) == Fraction(78125, 7)
     assert gr.integrate(f) == Fraction(78125, 7)
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_round_float_refuses_non_finite_values(value):
-    with pytest.raises(FloatUnstable):
-        round_float(value)
 
 
 def test_fixed_point_counts():

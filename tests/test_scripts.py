@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,11 +27,17 @@ def test_cy_gallery_fits_every_genus_in_the_jacobi_basis(capsys):
         assert line in out.splitlines()
 
 
-def test_grassmann_numbers_float_check_agrees(capsys):
-    _load("grassmann_numbers").main(["--float"])
+def test_grassmann_numbers_exact_table(capsys):
+    _load("grassmann_numbers").main([])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "A4[3]: dimension 6, 10 fixed points"
     (top,) = [line for line in lines if line.lstrip().startswith("c1^6")]
-    assert top.split() == ["c1^6", "78125", "float:", "78125", "(ok)"]
-    assert not any("MISMATCH" in line for line in lines)
+    assert top.split() == ["c1^6", "78125"]
+
+
+def test_grassmann_numbers_has_no_float_option(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _load("grassmann_numbers").main(["--float"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --float" in capsys.readouterr().err
 
