@@ -17,7 +17,7 @@ generic evaluation point, the two evaluation points of the exact
 self-check disagreeing, or another built-in consistency check failing),
 5 a space with more fixed points than roots.MAX_FIXED_POINTS or of a
 dimension whose universal elliptic genus has more Chern monomials than
-roots.MAX_CHERN_MONOMIALS (refused before any enumeration).  Results go
+genus.MAX_CHERN_MONOMIALS (refused before any enumeration).  Results go
 to stdout; diagnostics to stderr.
 """
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvalidInput
 from .render import _join, _term_body
 from .taylor import _power
 
@@ -78,7 +79,7 @@ class CohomologyClass:
 
     def _check(self, other):
         if self.n != other.n:
-            raise ValueError("mixed ambient dimensions")
+            raise InvalidInput("mixed ambient dimensions")
 
     def __add__(self, other):
         if not isinstance(other, CohomologyClass):
@@ -138,7 +139,7 @@ class CohomologyClass:
         """Value at a point: an exact Fraction for int and Fraction
         coordinates."""
         if len(point) != self.n:
-            raise ValueError("point has the wrong dimension")
+            raise InvalidInput("point has the wrong dimension")
         total = _F(0)
         for e, c in self.c.items():
             term = c

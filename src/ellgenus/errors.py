@@ -27,8 +27,12 @@ class InvalidInput(EllgenusError, ValueError):
     (exit code 2, as a malformed space), a negative symmetric power, a
     Jacobi basis monomial whose weight or double index is wrong, a
     universal elliptic genus of dimension below 1 or of negative q-order,
-    a Chern monomial with the wrong number of exponents, or a power sum
-    index outside 1..dim."""
+    a Chern monomial with the wrong number of exponents, a power sum
+    index outside 1..dim, a q-series of negative precision or with a
+    negative or odd doubled q-exponent, a y-scale of 0, an Eisenstein
+    series of weight other than 4 or 6, classes of different ambient
+    dimensions, an evaluation point of the wrong dimension, a negative
+    power, or the logarithm of a series whose constant term is not 1."""
 
 
 class OddWeight(EllgenusError):
@@ -57,7 +61,7 @@ class ConsistencyError(EllgenusError):
 class TooLarge(EllgenusError):
     """The request would enumerate more fixed points than
     roots.MAX_FIXED_POINTS, or build a universal elliptic genus over more
-    Chern monomials than roots.MAX_CHERN_MONOMIALS."""
+    Chern monomials than genus.MAX_CHERN_MONOMIALS."""
 
 
 class BaseMismatch(EllgenusError):

@@ -30,6 +30,22 @@ prod_m (b_m p_m)^{e_m}/e_m!, each power-sum monomial rewritten in the
 elementary symmetric polynomials (the Chern classes) by Newton's
 identities.
 
+That sum is formed in integers.  Newton's identities have integer
+coefficients, so the transition T[lambda, mu] from the power-sum monomial
+prod_m p_m^{e_m} of a partition lambda to the Chern monomials mu is
+integral.  The partitions are walked recursively, largest part first,
+carrying two partial products built from memoized powers: prod_m b_m^{e_m}
+as a QYSeries and prod_m p_m^{e_m} as an integer polynomial in
+e_1..e_d whose monomials are encoded as one int in radix d+1, so that a
+monomial product is one addition.  Every partition series
+S_lambda = prod_m b_m^{e_m}/e_m! is put over one common denominator D,
+fixed before the walk, and sum_lambda T[lambda, mu] S_lambda is added
+cell by cell in Python ints (qseries.IntegerCombination) one partition at
+a time, so no transition row outlives its partition.  One QYSeries per
+Chern monomial is built only at the end, before the factor
+(G(0)/(1-y))^d.  Substituting Chern numbers forms sum_mu c_mu S_mu by the
+same integer combination.
+
 Factors with n > k contribute only beyond q^k, so the products are
 truncated at n = k.  The universal genus is kept as one QYSeries per Chern
 monomial and printed by the one series renderer, render.format_series;
@@ -42,17 +58,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
 
 from .ci import chern_number, chern_numbers
 from .cohomology import CohomologyClass
 from .errors import InvalidInput, PrecisionZero, TooLarge
-from .qseries import LaurentY, QYSeries, _product_series, _rows
+from .qseries import IntegerCombination, LaurentY, QYSeries, _product_series, _rows
 from .render import format_series
-from .roots import MAX_CHERN_MONOMIALS
 from .taylor import log_todd_coefficients
 
 _F = Fraction
+MAX_CHERN_MONOMIALS = 5000
+"""Largest number p(dim) of Chern monomials, one per partition of dim, of
+a universal elliptic genus; beyond it TooLarge is raised before any work.
+E7[7] (dim 27, p = 3010) still runs; the full E6 flag (dim 36) does not."""
 _ONE_MINUS_Y = LaurentY({0: _F(1), 1: _F(-1)})
 
 
@@ -139,6 +158,33 @@ def power_sum_in_elementary(m, dim):
     return total
 
 
+def _encoded(poly, radix):
+    """A CohomologyClass with integral coefficients as {code: int}, the
+    exponent tuple (a_1, ..., a_d) encoded as sum_i a_i radix^(i-1)."""
+    return {sum(a * radix ** i for i, a in enumerate(e)): int(c)
+            for e, c in poly.c.items()}
+
+
+def _decoded(code, dim, radix):
+    """The exponent tuple of length dim that _encoded maps to code."""
+    exponents = []
+    for _ in range(dim):
+        code, a = divmod(code, radix)
+        exponents.append(a)
+    return tuple(exponents)
+
+
+def _poly_times(a, b):
+    """Product of two {code: int} polynomials: a monomial product is the sum
+    of the codes while no exponent reaches the radix."""
+    out = {}
+    for ca, va in a.items():
+        for cb, vb in b.items():
+            c = ca + cb
+            out[c] = out.get(c, 0) + va * vb
+    return {c: v for c, v in out.items() if v}
+
+
 # --------------------------------------------------------------------------
 # the universal genus
 
@@ -168,12 +214,14 @@ class ChernSymbolSeries:
 
     def substitute(self, values):
         """QYSeries obtained by replacing each Chern monomial by a number;
-        values maps exponent tuples to Fractions."""
-        total = QYSeries.zero(2 * self.order)
-        for e, s in self.series.items():
-            if values[e]:
-                total = total + s * values[e]
-        return total
+        values maps exponent tuples to Fractions.  The sum is one integer
+        combination over the common denominator of its terms."""
+        terms = [(values[e], s) for e, s in self.series.items() if values[e]]
+        total = IntegerCombination(lcm(*(v.denominator * s.denominator()
+                                         for v, s in terms)), 2 * self.order)
+        for v, s in terms:
+            total.add(v.numerator, s.numerators(total.den // v.denominator))
+        return total.series()
 
     def __str__(self):
         # row q, y-power y^j: the (coefficient, monomial) pairs, monomials
@@ -208,25 +256,42 @@ def elliptic_genus_chernnum(dim, k):
                        f"Chern monomials, more than the limit of "
                        f"{MAX_CHERN_MONOMIALS}")
     b = _log_coefficients(dim, k)
-    # the weighted-degree-dim part of exp(sum_m b_m p_m), one term
-    # prod_m (b_m p_m)^{e_m}/e_m! per partition, in elementary symmetric
-    # polynomials
-    in_e = {}
-    for partition in _partitions(dim, dim):
-        series = QYSeries.one(2 * k)
-        conv = CohomologyClass.one(dim)
-        for m, e in enumerate(partition, start=1):
-            if not e:
-                continue
-            series = series * b[m] ** e * _F(1, factorial(e))
-            for _ in range(e):
-                conv = conv.times(power_sum_in_elementary(m, dim))
-        for emon, coeff in conv.c.items():
-            term = series * coeff
-            in_e[emon] = in_e[emon] + term if emon in in_e else term
+    radix = dim + 1  # no exponent of a weighted-degree-dim monomial exceeds dim
+    # b_m^e/e! and p_m^e for e <= dim // m, index e
+    series_pows, poly_pows = {}, {}
+    for m in range(1, dim + 1):
+        p = _encoded(power_sum_in_elementary(m, dim), radix)
+        series_pows[m], poly_pows[m] = [QYSeries.one(2 * k), b[m]], [{0: 1}, p]
+        for e in range(2, dim // m + 1):
+            series_pows[m].append(series_pows[m][-1] * b[m] * _F(1, e))
+            poly_pows[m].append(_poly_times(poly_pows[m][-1], p))
+    # one common denominator for every partition's prod_m b_m^{e_m}/e_m!
+    dens = {m: [s.denominator() for s in pows] for m, pows in series_pows.items()}
+    den = lcm(*(prod(dens[m][e] for m, e in enumerate(partition, start=1))
+                for partition in _partitions(dim, dim)))
+    # the weighted-degree-dim part of exp(sum_m b_m p_m): per partition,
+    # its series is added into each Chern monomial's integer combination
+    # with the monomial's coefficient in prod_m p_m^{e_m}
+    sums = {}
+
+    def walk(m, rest, series, poly):
+        # choose e_m, ..., e_1 with sum_i i e_i = rest
+        if rest == 0:
+            cells = series.numerators(den)
+            for code, t in poly.items():
+                if code not in sums:
+                    sums[code] = IntegerCombination(den, 2 * k)
+                sums[code].add(t, cells)
+            return
+        for e in range(rest // m + 1) if m > 1 else (rest,):
+            walk(m - 1, rest - m * e,
+                 series * series_pows[m][e] if e else series,
+                 _poly_times(poly, poly_pows[m][e]) if e else poly)
+
+    walk(dim, dim, QYSeries.one(2 * k), {0: 1})
     g0d = _g0_power(dim, k)
-    return ChernSymbolSeries(dim, k, {emon: series * g0d
-                                      for emon, series in in_e.items()})
+    return ChernSymbolSeries(dim, k, {_decoded(code, dim, radix): acc.series() * g0d
+                                      for code, acc in sums.items()})
 
 
 def elliptic_genus(manifold, k, rng=None):

@@ -10,7 +10,11 @@ and jacobi still pass doubled precisions.  Every view out of a series
 and the text comes from the one series renderer, ``render.format_series``.
 A series remembers its precision (the largest retained doubled
 exponent).  Arithmetic truncates to the smaller operand precision;
-division is one long-division pass over the q-rows.  Products
+division is one long-division pass over the q-rows.  A linear
+combination with integer coefficients (the universal genus' partition
+sum and its substitution of Chern numbers) is one IntegerCombination,
+added cell by cell in ints over one common denominator; its cells are
+opaque to callers, which pass them from numerators() to add().  Products
 prod_n (1 - q^n y^s)^e (eta, the Jacobi generators and the genus
 prefactor) are built by _product_series, in place on the rows.
 
@@ -23,8 +27,9 @@ prefactor) are built by _product_series, in place on the rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import DivisionByNonUnit, PrecisionZero
+from .errors import DivisionByNonUnit, InvalidInput, PrecisionZero
 from .render import format_laurent, format_series
 from .taylor import _power
 
@@ -133,7 +138,7 @@ class LaurentY:
     def scale_exponents(self, s):
         """Substitute y -> y^s for a nonzero integer s."""
         if s == 0:
-            raise ValueError("y-scale must be nonzero")
+            raise InvalidInput("y-scale must be nonzero")
         return LaurentY({e * s: v for e, v in self.c.items()})
 
     def shift(self, k):
@@ -186,18 +191,18 @@ class QYSeries:
 
     def __init__(self, prec2, coeffs=None):
         if prec2 < 0:
-            raise ValueError("precision must be nonnegative")
+            raise InvalidInput("precision must be nonnegative")
         self.prec2 = int(prec2)
         c = {}
         if coeffs:
             for k, v in coeffs.items():
                 k = int(k)
                 if k < 0:
-                    raise ValueError("negative q-exponent")
+                    raise InvalidInput("negative q-exponent")
                 if k > prec2:
                     continue
                 if k % 2:
-                    raise ValueError("odd doubled exponent: q-exponents are integral")
+                    raise InvalidInput("odd doubled exponent: q-exponents are integral")
                 if not isinstance(v, LaurentY):
                     v = LaurentY.const(v)
                 if v:
@@ -365,6 +370,17 @@ class QYSeries:
         out.c = {k: v for k, v in self.c.items() if k <= prec2}
         return out
 
+    def denominator(self):
+        """Least common denominator of every coefficient."""
+        return lcm(*(v.denominator for row in self.c.values()
+                     for v in row.c.values()))
+
+    def numerators(self, den):
+        """The cells of den * self as ((doubled q-exponent, y-exponent),
+        int) pairs; den must be a multiple of denominator()."""
+        return [((k, e), v.numerator * (den // v.denominator))
+                for k, row in self.c.items() for e, v in row.c.items()]
+
     def specialize_y1(self):
         """Set y = 1 in every coefficient."""
         return QYSeries(self.prec2, {k: LaurentY.const(v.at_one()) for k, v in self.c.items()})
@@ -379,6 +395,32 @@ class QYSeries:
 
     def __repr__(self):
         return f"QYSeries({self})"
+
+
+class IntegerCombination:
+    """A linear combination sum_i c_i S_i of QYSeries of one precision
+    prec2 with integer c_i, accumulated cell by cell in ints over one
+    common denominator den fixed up front: add(c, S.numerators(den)) per
+    term, then series() builds the one QYSeries at the end."""
+
+    __slots__ = ("den", "prec2", "cells")
+
+    def __init__(self, den, prec2):
+        self.den = den
+        self.prec2 = prec2
+        self.cells = {}
+
+    def add(self, coeff, numerators):
+        cells = self.cells
+        for cell, v in numerators:
+            cells[cell] = cells.get(cell, 0) + coeff * v
+
+    def series(self):
+        out = QYSeries(self.prec2)
+        for (k, e), v in self.cells.items():
+            if v:
+                out.c.setdefault(k, LaurentY()).c[e] = Fraction(v, self.den)
+        return out
 
 
 def _product_series(rows, factors):
@@ -434,7 +476,7 @@ def eisenstein(k, prec):
     elif k == 6:
         scale, power = -504, 5
     else:
-        raise ValueError("only weights 4 and 6 are provided")
+        raise InvalidInput("only weights 4 and 6 are provided")
     coeffs = {0: _laurent_one()}
     for n in range(1, prec + 1):
         coeffs[2 * n] = LaurentY.const(scale * _sigma(power, n))

@@ -39,10 +39,6 @@ MAX_FIXED_POINTS = 10 ** 5
 """Largest |W^P| that ParabolicSubgroup.coset_representatives enumerates;
 beyond it TooLarge is raised before any walking (the full E8 flag has
 696729600 fixed points)."""
-MAX_CHERN_MONOMIALS = 5000
-"""Largest number p(dim) of Chern monomials, one per partition of dim, of
-a universal elliptic genus; beyond it TooLarge is raised before any work.
-E7[7] (dim 27, p = 3010) still runs; the full E6 flag (dim 36) does not."""
 _RANK_RULES = {"A": lambda n: n >= 1, "B": lambda n: n >= 2, "C": lambda n: n >= 3,
                "D": lambda n: n >= 4, "E": lambda n: n in (6, 7, 8),
                "F": lambda n: n == 4, "G": lambda n: n == 2}

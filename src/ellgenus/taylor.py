@@ -9,13 +9,16 @@ point) and graded division (adjunction c(TX) = c(TM)/c(E), and the Todd
 and log-Todd series).  It also holds the one square-and-multiply loop
 behind the powers of Laurent polynomials, q-series and classes, and the
 one Gauss-Jordan loop behind exact matrix inverses and Jacobi fits.  This
-module imports nothing from the package, so every layer can use it.
+module imports nothing from the package but its errors, so every layer
+can use it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+
+from .errors import InvalidInput
 
 _F = Fraction
 
@@ -69,7 +72,7 @@ def _power(base, k, one, times=lambda a, b: a * b):
     """base**k by square and multiply, starting from `one`; times(a, b)
     is the product, looked up on the operands when it is called."""
     if k < 0:
-        raise ValueError("negative powers are not defined")
+        raise InvalidInput("negative powers are not defined")
     result = one
     while k:
         if k & 1:
@@ -84,7 +87,7 @@ def series_log(coeffs):
     """log of a series with constant term 1, via termwise integration of
     f'/f, the graded quotient of the derivative by the series."""
     if not coeffs or coeffs[0] != 1:
-        raise ValueError("logarithm needs constant term 1")
+        raise InvalidInput("logarithm needs constant term 1")
     n = len(coeffs)
     deriv = [(k + 1) * coeffs[k + 1] for k in range(n - 1)]
     ratio = _graded_division(deriv, coeffs, n - 2)

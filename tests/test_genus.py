@@ -14,13 +14,14 @@ from ellgenus.bundles import EquivariantVectorBundle, completely_reducible_bundl
 from ellgenus.ci import CompleteIntersection, chern_number
 from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import InvalidInput, PrecisionZero, TooLarge
-from ellgenus.genus import (ChernSymbolSeries, _partition_count, _partitions,
-                            chi_y, elliptic_genus, elliptic_genus_chernnum,
+from ellgenus.genus import (MAX_CHERN_MONOMIALS, ChernSymbolSeries,
+                            _partition_count, _partitions, chi_y,
+                            elliptic_genus, elliptic_genus_chernnum,
                             power_sum_in_elementary)
 from ellgenus.homog import homogeneous_space
 from ellgenus.jacobi import basis_half_integral, linear_fit
 from ellgenus.qseries import LaurentY, QYSeries
-from ellgenus.roots import MAX_CHERN_MONOMIALS, Weight, parabolic
+from ellgenus.roots import Weight, parabolic
 
 CHERNNUM_3_1 = (
     "1/24*c1*c2 + (-1/24*c1*c2 + 1/2*c3)*y + (-1/24*c1*c2 + 1/2*c3)*y^2 "
@@ -181,6 +182,11 @@ CHERNNUM_DIGESTS = {
     (12, 0): "029e36584579dd4e02fe31812657fc0237e8fde0477a20c93a8919ba636947c6",
     (12, 1): "962985ccc3dbaea1adad4052f560566fb055415e13fc94b74c4de1e27101c567",
     (14, 0): "4f97a9fdca30ccd8f53ae98d615035dc245431ea5e80ca55eadc5a6def7c054d",
+    # printed by the partition sum in Fraction-valued QYSeries arithmetic,
+    # before the integer accumulation
+    (16, 0): "e7b13ea3a0b8a7ead0c8e0049cf41289b62e3397fd58236f7b1e5b246e768047",
+    (18, 0): "a951a954372ed17175f564415c9544091a760c8a194baeda88fe6a549d6b6343",
+    (12, 3): "d288ec22606433613016d584456ca67989b57362c5e43b2b280d70c0908b1fbc",
 }
 
 
@@ -188,6 +194,26 @@ CHERNNUM_DIGESTS = {
 def test_chernnum_listing_digests(dim, k):
     text = str(elliptic_genus_chernnum(dim, k))
     assert hashlib.sha256(text.encode()).hexdigest() == CHERNNUM_DIGESTS[dim, k]
+
+
+def test_chernnum_adds_no_series_per_monomial(monkeypatch):
+    # the partition sum is one integer accumulation: building the series
+    # adds QYSeries at most p(12) = 77 times, where a sum formed in series
+    # arithmetic adds one per (partition, Chern monomial) pair
+    calls = []
+    add = QYSeries.__add__
+
+    def counted(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(QYSeries, "__add__", counted)
+    elliptic_genus_chernnum.cache_clear()
+    try:
+        elliptic_genus_chernnum(12, 0)
+    finally:
+        elliptic_genus_chernnum.cache_clear()
+    assert len(calls) <= _partition_count(12) == 77
 
 
 def test_chernnum_validation():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import ellgenus.qseries
 import ellgenus.taylor
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.errors import DivisionByNonUnit, PrecisionZero
+from ellgenus.errors import DivisionByNonUnit, InvalidInput, PrecisionZero
 from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product
 from ellgenus.taylor import log_todd_coefficients, todd_coefficients
 from theta_reference import theta
@@ -115,7 +115,7 @@ def test_eisenstein_frozen_coefficients():
         assert e4.coefficient(n) == LaurentY.const(v)
     for n, v in enumerate([1, -504, -16632, -122976, -532728, -1575504]):
         assert e6.coefficient(n) == LaurentY.const(v)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         eisenstein(8, 3)
 
 
@@ -199,7 +199,7 @@ def test_power_is_repeated_product_on_every_type():
         for k in range(6):
             assert base.__pow__(k, **kw) == expected, (base, k, kw)
             expected = times(expected, base)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             base.__pow__(-1, **kw)
     assert cls.power(4, max_degree=3) == cls.__pow__(4, 3) == (cls ** 4).truncate(3)
 
@@ -217,7 +217,7 @@ def test_laurent_helpers():
     assert a.scale_exponents(2) == LaurentY({-2: 2, 0: -3, 4: Fraction(1, 2)})
     assert a.derivative() == LaurentY({-2: -2, 1: 1})
     assert a.support() == [-1, 0, 2]
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         LaurentY({0: 1}) ** -1
 
 
@@ -261,12 +261,25 @@ def test_division_by_nonunit_raises():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         QYSeries(-2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         QYSeries(6, {1: LaurentY.const(1)})  # odd doubled key: q^(1/2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         QYSeries(6, {-2: LaurentY.const(1)})
+
+
+def test_bad_library_input_is_invalid_input():
+    # a caller's bad input is InvalidInput, still a ValueError
+    with pytest.raises(InvalidInput, match="y-scale"):
+        LaurentY({1: 1}).scale_exponents(0)
+    with pytest.raises(InvalidInput, match="mixed ambient"):
+        CohomologyClass.one(2) + CohomologyClass.one(3)
+    with pytest.raises(InvalidInput, match="wrong dimension"):
+        CohomologyClass.one(2).evaluate((1, 2, 3))
+    with pytest.raises(InvalidInput, match="constant term 1"):
+        ellgenus.taylor.series_log([Fraction(2), Fraction(1)])
+    assert issubclass(InvalidInput, ValueError)
 
 
 def test_truncate_and_equality_respect_precision():
