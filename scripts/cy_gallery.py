@@ -12,8 +12,7 @@ from ellgenus.bundles import completely_reducible_bundle
 from ellgenus.ci import CompleteIntersection, chern_number
 from ellgenus.genus import chi_y, elliptic_genus
 from ellgenus.homog import homogeneous_space
-from ellgenus.jacobi import basis_half_integral, linear_fit
-from ellgenus.qseries import QYSeries
+from ellgenus.jacobi import basis_half_integral, linear_fit, shifted_basis
 from ellgenus.render import format_laurent
 
 
@@ -44,13 +43,8 @@ class GalleryConfig:
 def jacobi_coordinates(manifold, genus):
     """Exact coordinates of the genus in the weight-0 basis of index dim/2."""
     d = manifold.dimension()
-    shift = (d - d % 2) // 2
-    elements = [
-        QYSeries.from_q_dict(e.series.q_order,
-                             {q: lau.shift(shift) for q, lau in e.series.terms()})
-        for e in basis_half_integral(0, d, prec=genus.q_order)]
     labels = [e.label() for e in basis_half_integral(0, d, prec=0)]
-    coords = linear_fit(genus, elements)
+    coords = linear_fit(genus, shifted_basis(d, genus.q_order))
     return labels, coords
 
 
@@ -72,8 +66,7 @@ def main(argv=None):
         print(f"   Euler number  {chern_number(manifold, [d])}")
         print(f"   chi_y         {format_laurent(sorted(chi_y(manifold).c.items()))}")
         print(f"   genus         {genus}")
-        shift = (d - d % 2) // 2
-        fit = " + ".join(f"{c} * y^{shift} * {l}"
+        fit = " + ".join(f"{c} * y^{d // 2} * {l}"
                          for c, l in zip(coords, labels) if c)
         print(f"   Jacobi form   {fit}")
         print()

@@ -55,7 +55,9 @@ class ConsistencyError(EllgenusError):
     """A built-in self-check failed: the exact localization sum differed
     between two independent evaluation points, a Cartan matrix entry was
     not an integer, a Freudenthal multiplicity was not a positive integer,
-    or a Weyl dimension was not an integer."""
+    a Weyl dimension was not an integer, or the low q-rows of a Calabi-Yau
+    genus were outside the span of the weak Jacobi basis or not
+    reproduced by their expansion in it."""
 
 
 class TooLarge(EllgenusError):

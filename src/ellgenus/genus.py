@@ -28,7 +28,9 @@ from
 as (G(0)/(1-y))^d times the sum over partitions of
 prod_m (b_m p_m)^{e_m}/e_m!, each power-sum monomial rewritten in the
 elementary symmetric polynomials (the Chern classes) by Newton's
-identities.
+identities.  Every partition has sum_m m e_m = d, so the factor is folded
+into the b_m: with g = G(0)/(1-y), each b_m is replaced by g^m b_m and no
+product by (G(0)/(1-y))^d is left.
 
 That sum is formed in integers.  Newton's identities have integer
 coefficients, so the transition T[lambda, mu] from the power-sum monomial
@@ -42,15 +44,29 @@ S_lambda = prod_m b_m^{e_m}/e_m! is put over one common denominator D,
 fixed before the walk, and sum_lambda T[lambda, mu] S_lambda is added
 cell by cell in Python ints (qseries.IntegerCombination) one partition at
 a time, so no transition row outlives its partition.  One QYSeries per
-Chern monomial is built only at the end, before the factor
-(G(0)/(1-y))^d.  Substituting Chern numbers forms sum_mu c_mu S_mu by the
-same integer combination.
+Chern monomial is built only at the end.  Substituting Chern numbers forms
+sum_mu c_mu S_mu by the same integer combination.
 
 Factors with n > k contribute only beyond q^k, so the products are
 truncated at n = k.  The universal genus is kept as one QYSeries per Chern
 monomial and printed by the one series renderer, render.format_series;
 doubled q-exponents appear here only as the doubled precisions handed to
 QYSeries constructors.
+
+A Calabi-Yau d-fold takes a shorter path.  Its elliptic genus is a weak
+Jacobi form of weight 0 and index d/2 (Kawai-Yamada-Yang 1994,
+Borisov-Libgober 2000), so it is determined by its coordinates in the
+basis of jacobi.basis_half_integral, shifted by y^{floor(d/2)} as the
+genus is (jacobi.shifted_basis).  When c_1 = 0 (every Dynkin label of the
+tangent weights minus the section weights is 0) and the basis rows up to
+some q^k0 with k0 < k have full column rank, the genus is computed to
+q^k0 only, by the universal path, its unique coordinates are solved for
+there (jacobi.solve), and sum_i c_i phi_i is returned to q^k, so the cost
+stops growing with k past k0.  k0 is the least such order, read from the
+basis alone: 0 for d = 1-11 and 13, 1 for d = 12 and 14-23, 2 for d = 24.
+Rows outside the span, or an expansion that does not reproduce them,
+raise ConsistencyError.  Every G/P, every other complete intersection,
+and every case whose rank is not full below q^k takes the universal path.
 """
 
 from __future__ import annotations
@@ -62,9 +78,11 @@ from math import factorial, lcm, prod
 
 from .ci import chern_number, chern_numbers
 from .cohomology import CohomologyClass
-from .errors import InvalidInput, PrecisionZero, TooLarge
+from .errors import ConsistencyError, InvalidInput, PrecisionZero, TooLarge
+from .jacobi import shifted_basis, solve
 from .qseries import IntegerCombination, LaurentY, QYSeries, _product_series, _rows
 from .render import format_series
+from .roots import Weight
 from .taylor import log_todd_coefficients
 
 _F = Fraction
@@ -90,9 +108,12 @@ def _l_numerators(max_m):
 
 
 def _log_coefficients(dim, k):
-    """b_m = (1-y)^m a_m for m = 1..dim, as QYSeries to q^k."""
+    """g^m b_m for m = 1..dim, with b_m = (1-y)^m a_m and g = G(0)/(1-y),
+    as QYSeries to q^k."""
     t = log_todd_coefficients(dim)
     lnum = _l_numerators(dim)
+    g = _g0_series(k)
+    g_m = QYSeries.one(2 * k)
     out = {}
     for m in range(1, dim + 1):
         fm = _F(1, factorial(m))
@@ -104,16 +125,17 @@ def _log_coefficients(dim, k):
                 piece = body * (fm * j ** (m - 1))
                 nj = n * j
                 terms[nj] = terms[nj] + piece if nj in terms else piece
+        g_m = g_m * g
         out[m] = (QYSeries.from_q_dict(k, terms) * _ONE_MINUS_Y ** m
-                  + lnum[m] * (-sign * fm))
+                  + lnum[m] * (-sign * fm)) * g_m
     return out
 
 
-def _g0_power(dim, k):
-    """(G(0)/(1-y))^dim as a QYSeries to q^k: (prod_{n<=k}
-    (1-yq^n)(1-y^{-1}q^n)/(1-q^n)^2)^dim."""
+def _g0_series(k):
+    """G(0)/(1-y) as a QYSeries to q^k: prod_{n<=k}
+    (1-yq^n)(1-y^{-1}q^n)/(1-q^n)^2."""
     factors = ((1, 1), (-1, 1), (0, -2))  # (s, e): (1 - q^n y^s)^e
-    return _product_series(_rows(LaurentY.const(1), k), factors) ** dim
+    return _product_series(_rows(LaurentY.const(1), k), factors)
 
 
 def _partitions(total, largest):
@@ -189,6 +211,16 @@ def _poly_times(a, b):
 # the universal genus
 
 
+def _check_monomial_count(dim):
+    """TooLarge when a dim-fold's universal genus has more than
+    MAX_CHERN_MONOMIALS Chern monomials."""
+    count = _partition_count(dim)
+    if count > MAX_CHERN_MONOMIALS:
+        raise TooLarge(f"a {dim}-fold's universal elliptic genus has {count} "
+                       f"Chern monomials, more than the limit of "
+                       f"{MAX_CHERN_MONOMIALS}")
+
+
 class ChernSymbolSeries:
     """The universal genus of a dim-fold to q^order: one QYSeries per Chern
     monomial c_1^{a_1} ... c_d^{a_d} of weighted degree exactly d, keyed by
@@ -250,11 +282,7 @@ def elliptic_genus_chernnum(dim, k):
         raise InvalidInput("dimension must be at least 1")
     if k < 0:
         raise InvalidInput("q-order must be nonnegative")
-    count = _partition_count(dim)
-    if count > MAX_CHERN_MONOMIALS:
-        raise TooLarge(f"a {dim}-fold's universal elliptic genus has {count} "
-                       f"Chern monomials, more than the limit of "
-                       f"{MAX_CHERN_MONOMIALS}")
+    _check_monomial_count(dim)
     b = _log_coefficients(dim, k)
     radix = dim + 1  # no exponent of a weighted-degree-dim monomial exceeds dim
     # b_m^e/e! and p_m^e for e <= dim // m, index e
@@ -289,29 +317,80 @@ def elliptic_genus_chernnum(dim, k):
                  _poly_times(poly, poly_pows[m][e]) if e else poly)
 
     walk(dim, dim, QYSeries.one(2 * k), {0: 1})
-    g0d = _g0_power(dim, k)
-    return ChernSymbolSeries(dim, k, {_decoded(code, dim, radix): acc.series() * g0d
+    return ChernSymbolSeries(dim, k, {_decoded(code, dim, radix): acc.series()
                                       for code, acc in sums.items()})
 
 
 def elliptic_genus(manifold, k, rng=None):
     """Elliptic genus of a homogeneous space or complete intersection to
-    q-order k (multiplied by y^{d/2}), substituting its Chern numbers,
-    all computed in one chern_numbers call, into the universal expression."""
+    q-order k (multiplied by y^{d/2}).  A Calabi-Yau complete intersection
+    whose shifted weak Jacobi basis has full rank on its rows up to some
+    q^k0 with k0 < k is fitted there and expanded from the basis
+    (_jacobi_expansion); every other input substitutes its Chern numbers
+    into the universal expression to q^k (_universal_genus)."""
     dim = manifold.dimension()
     rng = rng if rng is not None else random.Random()
     if dim == 0:
         points = chern_number(manifold, [], rng=rng)
         return QYSeries.const(points, 2 * k)
     # the fixed-point guard runs first and without walking; the universal
-    # series then checks its own size, both before any work
+    # series' size is checked next, both before any work
     manifold.ambient.parabolic.check_fixed_point_count()
-    universal = elliptic_genus_chernnum(dim, k)
+    if k > 0 and _c1_vanishes(manifold):
+        _check_monomial_count(dim)
+        basis = shifted_basis(dim, k)
+        k0 = next((j for j in range(k)
+                   if solve(QYSeries.zero(2 * j), basis)[1] == len(basis)), None)
+        if k0 is not None:
+            return _jacobi_expansion(_universal_genus(manifold, k0, rng),
+                                     basis, k)
+    return _universal_genus(manifold, k, rng)
+
+
+def _c1_vanishes(manifold):
+    """Whether c_1 of the manifold is 0.  It is the sum of the tangent
+    weights of G/P minus the section weights, a character of P, and
+    Pic(G/P) is P's character group, so c_1 = 0 exactly when every Dynkin
+    label of that sum is 0.  Raw ambient coordinates do not decide it:
+    on type A the labels ignore the central direction."""
+    space = manifold.ambient
+    total = Weight([0] * space.ambient_dim)
+    for w in space.tangent_weights:
+        total = total + w
+    for w in manifold.section:
+        total = total - w
+    return not any(space.root_system.fundamental_coordinates(total))
+
+
+def _universal_genus(manifold, k, rng):
+    """The genus to q^k from the universal expression and the manifold's
+    Chern numbers, all computed in one chern_numbers call."""
+    universal = elliptic_genus_chernnum(manifold.dimension(), k)
     monomials = universal.monomials()
     degree_lists = [[m for m, e in enumerate(emon, start=1) for _ in range(e)]
                     for emon in monomials]
     values = chern_numbers(manifold, degree_lists, rng=rng)
     return universal.substitute(dict(zip(monomials, values)))
+
+
+def _jacobi_expansion(rows, basis, k):
+    """sum_i c_i basis_i to q^k, with c the unique coordinates of a genus's
+    rows up to q^k0 (a QYSeries to q^k0) in the basis, whose coefficients
+    there have full rank.  A Calabi-Yau d-fold's genus is a weak Jacobi
+    form of weight 0 and index d/2, so the basis fixes every higher row;
+    ConsistencyError when the rows are outside the span, or when the
+    expansion does not reproduce them."""
+    coords, _ = solve(rows, basis)
+    if coords is None:
+        raise ConsistencyError("the low q-rows of a Calabi-Yau genus are "
+                               "not a weak Jacobi form of weight 0")
+    genus = QYSeries.zero(2 * k)
+    for c, phi in zip(coords, basis):
+        genus = genus + phi * c
+    if genus.truncate(rows.prec2) != rows:
+        raise ConsistencyError("the weak Jacobi expansion of a Calabi-Yau "
+                               "genus does not reproduce its low q-rows")
+    return genus
 
 
 def chi_y(manifold, rng=None):

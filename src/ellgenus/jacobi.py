@@ -173,13 +173,23 @@ def basis_half_integral(weight, double_index, prec=7):
     return out
 
 
-def linear_fit(target, elements):
-    """Exact rationals c with target = sum c_i * elements_i, else None.
+def shifted_basis(dim, prec):
+    """y^{floor(dim/2)} times each weight-0 weak Jacobi form of index dim/2,
+    in basis_half_integral's order, as QYSeries to q^prec: the
+    normalization of the elliptic genus of a dim-fold, whose y-exponents
+    are integral (Calabi-Yau genera lie in their span)."""
+    shift = dim // 2
+    return [QYSeries(e.series.prec2,
+                     {k2: lau.shift(shift) for k2, lau in e.series.c.items()})
+            for e in basis_half_integral(0, dim, prec)]
 
-    Compares every retained coefficient of the operands, so a successful
-    fit is a proof of membership up to the common precision.
-    """
-    prec2 = min([target.prec2] + [e.prec2 for e in elements]) if elements else target.prec2
+
+def solve(target, elements):
+    """(c, rank) up to the common precision of the operands: rank is the
+    rank of the elements' coefficients there, and c are exact rationals
+    with target = sum c_i * elements_i on every coefficient there, free
+    columns set to 0, or None when the target is outside the span."""
+    prec2 = _common_prec2(target, elements)
     coords = set()
     for s in [target] + list(elements):
         for k2, lau in s.c.items():
@@ -193,12 +203,30 @@ def linear_fit(target, elements):
         rows.append(row)
     n = len(elements)
     pivots = _row_reduce(rows, n)
+    rank = len(pivots)
+    if any(row[-1] for row in rows[rank:]):
+        return None, rank
     sol = [Fraction(0)] * n
     for i, col in enumerate(pivots):
         sol[col] = rows[i][-1]
-    if any(row[-1] for row in rows[len(pivots):]):
+    return sol, rank
+
+
+def _common_prec2(target, elements):
+    return min([target.prec2] + [e.prec2 for e in elements])
+
+
+def linear_fit(target, elements):
+    """Exact rationals c with target = sum c_i * elements_i, else None.
+
+    Compares every retained coefficient of the operands, so a successful
+    fit is a proof of membership up to the common precision.
+    """
+    sol, _ = solve(target, elements)
+    if sol is None:
         return None
     # verify, which also catches free columns that were genuinely needed
+    prec2 = _common_prec2(target, elements)
     acc = QYSeries.zero(prec2)
     for c, el in zip(sol, elements):
         acc = acc + el.truncate(prec2) * c

@@ -283,6 +283,20 @@ def test_failed_self_check_exits_4(argv, drifting_point_sums):
     assert "integration failed" in err
 
 
+def test_failed_calabi_yau_fit_exits_4(monkeypatch):
+    from ellgenus import genus
+
+    real = genus._universal_genus
+    # a constant term puts the quintic's q^0 row outside the weak Jacobi span
+    monkeypatch.setattr(genus, "_universal_genus",
+                        lambda m, k, rng: real(m, k, rng) + 1)
+    code, out, err = run(
+        ["genus", "--space", "A4[1]", "--bundle", "5,0,0,0", "--order", "3"])
+    assert code == 4
+    assert out == ""
+    assert "not a weak Jacobi form" in err
+
+
 E8_FLAG = "E8[1,2,3,4,5,6,7,8]"
 
 

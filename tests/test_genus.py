@@ -2,6 +2,7 @@
 and the structural identities expected of weak Jacobi forms."""
 
 import hashlib
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 from ellgenus.bundles import EquivariantVectorBundle, completely_reducible_bundle
 from ellgenus.ci import CompleteIntersection, chern_number
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.errors import InvalidInput, PrecisionZero, TooLarge
+from ellgenus import genus as genus_module
+from ellgenus.errors import ConsistencyError, InvalidInput, PrecisionZero, TooLarge
 from ellgenus.genus import (MAX_CHERN_MONOMIALS, ChernSymbolSeries,
                             _partition_count, _partitions, chi_y,
                             elliptic_genus, elliptic_genus_chernnum,
                             power_sum_in_elementary)
 from ellgenus.homog import homogeneous_space
-from ellgenus.jacobi import basis_half_integral, linear_fit
+from ellgenus.jacobi import linear_fit, shifted_basis, solve
 from ellgenus.qseries import LaurentY, QYSeries
 from ellgenus.roots import Weight, parabolic
 
@@ -355,12 +357,177 @@ def test_genus_matches_sheaf_cohomology_oracle(spec, crossed, k):
         assert got.coefficient(n) == expected.get(n, LaurentY()), (spec, n)
 
 
+# --- Calabi-Yau genera from the weak Jacobi basis ---------------------------
+
+# (type, crossed nodes, section weights) of the Calabi-Yau and K3 complete
+# intersections of the benchmark's cy_series workload
+CY_SPACES = {
+    "K3": ("A3", (1,), ((4, 0, 0),)),
+    "quintic": ("A4", (1,), ((5, 0, 0, 0),)),
+    "P5_33": ("A5", (1,), ((3, 0, 0, 0, 0), (3, 0, 0, 0, 0))),
+    "P5_24": ("A5", (1,), ((2, 0, 0, 0, 0), (4, 0, 0, 0, 0))),
+    "sextic": ("A5", (1,), ((6, 0, 0, 0, 0),)),
+    "Gr25_113": ("A4", (2,), ((0, 1, 0, 0), (0, 1, 0, 0), (0, 3, 0, 0))),
+    "G2_CY3": ("G2", (1, 2), ((2, 0), (0, 1), (0, 1))),
+}
+
+# a degree-14 hypersurface in P^13: dimension 12, where the q^0 rows of the
+# basis do not have full rank and the fit needs q^1 (k0 = 1)
+CY12 = ("A13", (1,), ((14,) + (0,) * 12,))
+
+# sha256 of str(elliptic_genus(quintic, 20)), computed on the universal
+# path alone, before the Calabi-Yau path existed
+QUINTIC_GENUS_20_SHA256 = \
+    "d1bcff44af0962c1e206b2edc32b9df9a4fefcf533422d16b3d49b02bca3dab9"
+
+
+def _ci(kind, crossed, weights):
+    space = homogeneous_space(kind, list(crossed))
+    return CompleteIntersection(
+        completely_reducible_bundle(space, [list(w) for w in weights]))
+
+
+def _elliptic_curve():
+    return _ci("A2", (1,), ((3, 0),))
+
+
+@pytest.fixture
+def chernnum_calls(monkeypatch):
+    """Record the (dim, k) of every universal series the genus path builds."""
+    calls = []
+    real = genus_module.elliptic_genus_chernnum
+
+    def spy(dim, k):
+        calls.append((dim, k))
+        return real(dim, k)
+
+    monkeypatch.setattr(genus_module, "elliptic_genus_chernnum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name,k", [
+    *((name, k) for name in CY_SPACES for k in range(1, 7)),
+    ("quintic", 12), ("elliptic curve", 1), ("elliptic curve", 5),
+    ("CY12", 2)])
+def test_cy_path_matches_universal_path(name, k):
+    manifold = (_elliptic_curve() if name == "elliptic curve"
+                else _ci(*CY12) if name == "CY12" else _ci(*CY_SPACES[name]))
+    got = elliptic_genus(manifold, k)
+    oracle = genus_module._universal_genus(manifold, k, random.Random(k))
+    assert got == oracle
+    assert str(got) == str(oracle)
+
+
+def test_elliptic_curve_genus_is_zero():
+    assert elliptic_genus(_elliptic_curve(), 3) == QYSeries.zero(6)
+
+
+def test_quintic_genus_to_q20_is_pinned(quintic):
+    text = str(elliptic_genus(quintic, 20))
+    assert hashlib.sha256(text.encode()).hexdigest() == QUINTIC_GENUS_20_SHA256
+
+
+@pytest.mark.parametrize("spec,k,k0", [
+    (CY_SPACES["quintic"], 20, 0), (CY_SPACES["K3"], 6, 0),
+    (CY_SPACES["sextic"], 5, 0), (CY_SPACES["G2_CY3"], 3, 0), (CY12, 3, 1)],
+    ids=["quintic", "K3", "sextic", "G2_CY3", "CY12"])
+def test_cy_genus_builds_universal_series_only_at_k0(spec, k, k0,
+                                                     chernnum_calls):
+    manifold = _ci(*spec)
+    elliptic_genus(manifold, k)
+    assert chernnum_calls == [(manifold.dimension(), k0)]
+
+
+def test_cy_at_k0_itself_takes_the_universal_path(chernnum_calls):
+    # the rows reach full rank only at q^1 = q^k: nothing is left to expand
+    manifold = _ci(*CY12)
+    elliptic_genus(manifold, 1)
+    assert chernnum_calls == [(12, 1)]
+
+
+def test_k0_is_the_least_order_of_full_rank():
+    # dimension 12 needs the q^1 row: the q^0 rows alone have rank below 7
+    basis = shifted_basis(12, 2)
+    ranks = [solve(QYSeries.zero(2 * j), basis)[1] for j in range(3)]
+    assert len(basis) == 7 and ranks[0] < 7 and ranks[1:] == [7, 7]
+
+
+def test_rank_deficient_basis_falls_back_to_universal_path(
+        quintic, chernnum_calls, monkeypatch):
+    real = genus_module.shifted_basis
+    # a repeated element: the rank never reaches the number of elements
+    monkeypatch.setattr(genus_module, "shifted_basis",
+                        lambda dim, prec: real(dim, prec) * 2)
+    got = elliptic_genus(quintic, 4)
+    assert chernnum_calls == [(3, 4)]
+    assert got == genus_module._universal_genus(quintic, 4, random.Random(1))
+
+
+def test_cy_rows_outside_the_jacobi_span_raise(quintic, monkeypatch):
+    real = genus_module._universal_genus
+    # a constant term: no weak Jacobi form of weight 0 and index 3/2 has it
+    monkeypatch.setattr(genus_module, "_universal_genus",
+                        lambda m, k, rng: real(m, k, rng) + 1)
+    with pytest.raises(ConsistencyError, match="not a weak Jacobi form"):
+        elliptic_genus(quintic, 3)
+
+
+def test_cy_expansion_that_misses_its_rows_raises(quintic, monkeypatch):
+    real = genus_module.solve
+
+    def doubled(target, elements):
+        coords, rank = real(target, elements)
+        return [2 * c for c in coords], rank
+
+    monkeypatch.setattr(genus_module, "solve", doubled)
+    with pytest.raises(ConsistencyError, match="does not reproduce"):
+        elliptic_genus(quintic, 3)
+
+
+def test_c1_is_read_on_dynkin_labels(quintic):
+    space = quintic.ambient
+    tangent = [sum(c) for c in zip(*(w.coords for w in space.tangent_weights))]
+    section = list(quintic.section[0].coords)
+    # the raw ambient coordinates differ by the central direction of A4
+    assert (tangent, section) == ([4, -1, -1, -1, -1], [5, 0, 0, 0, 0])
+    assert genus_module._c1_vanishes(quintic)
+    assert all(genus_module._c1_vanishes(_ci(*spec))
+               for spec in CY_SPACES.values())
+    assert genus_module._c1_vanishes(_elliptic_curve())
+
+
+NON_CY = {
+    "quartic threefold": ("A4", (1,), ((4, 0, 0, 0),)),
+    "cubic surface": ("A3", (1,), ((3, 0, 0),)),
+    "Gr(2,5) cut by (1,1,1)": ("A4", (2,), ((0, 1, 0, 0),) * 3),
+}
+
+
+@pytest.mark.parametrize("manifold", [
+    *(lambda spec=spec: _ci(*spec) for spec in NON_CY.values()),
+    *(lambda s=s, c=c: homogeneous_space(s, c) for s, c in (
+        ("A3", [2]), ("A4", [1]), ("A3", [1, 2, 3]), ("B3", [3]),
+        ("C3", [3]), ("D4", [1]), ("G2", [1, 2])))],
+    ids=[*NON_CY, "A3[2]", "A4[1]", "A3[1,2,3]", "B3[3]", "C3[3]", "D4[1]",
+         "G2[1,2]"])
+def test_non_cy_takes_the_universal_path(manifold, chernnum_calls):
+    manifold = manifold()
+    assert not genus_module._c1_vanishes(manifold)
+    elliptic_genus(manifold, 2)
+    assert chernnum_calls == [(manifold.dimension(), 2)]
+
+
+def test_too_large_cy_is_refused_before_building_its_basis(quintic,
+                                                           monkeypatch):
+    # with the limit below p(3) = 3, the quintic stands in for a CY whose
+    # universal series is too large
+    monkeypatch.setattr(genus_module, "MAX_CHERN_MONOMIALS", 2)
+    monkeypatch.setattr(genus_module, "shifted_basis", None)
+    with pytest.raises(TooLarge, match="3 Chern monomials"):
+        elliptic_genus(quintic, 2)
+
+
 # --- weak Jacobi form structure ----------------------------------------------
-
-def _y_shifted(series, shift):
-    return QYSeries(series.prec2,
-                    {k2: lau.shift(shift) for k2, lau in series.c.items()})
-
 
 @pytest.mark.parametrize("name,coeffs", [
     ("k3", [Fraction(2)]), ("quintic", [Fraction(-100)]),
@@ -370,10 +537,7 @@ def test_cy_genus_lies_in_weak_jacobi_space(name, coeffs, request):
     d = manifold.dimension()
     k = 3
     genus = elliptic_genus(manifold, k)
-    shift = (d - d % 2) // 2
-    elements = [_y_shifted(e.series, shift)
-                for e in basis_half_integral(0, d, prec=k)]
-    assert linear_fit(genus, elements) == coeffs
+    assert linear_fit(genus, shifted_basis(d, k)) == coeffs
 
 
 def test_serre_symmetry_of_coefficients():

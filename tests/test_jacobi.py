@@ -17,7 +17,7 @@ import ellgenus
 from ellgenus.errors import InvalidInput, OddWeight
 from ellgenus.jacobi import (JacobiBasisElement, basis_half_integral,
                              basis_integral, linear_fit, phi_0_1, phi_0_3half,
-                             phi_m2_1)
+                             phi_m2_1, shifted_basis, solve)
 from ellgenus.qseries import LaurentY, QYSeries, eisenstein
 from theta_reference import (reference_phi_0_1, reference_phi_0_3half,
                              reference_phi_m2_1)
@@ -202,6 +202,29 @@ def test_linear_fit_rejects_outside_span():
     els = basis_integral(0, 2, prec=4)
     assert linear_fit(QYSeries.one(8), [e.series for e in els]) is None
     assert linear_fit(eisenstein(4, 4), [e.series for e in els]) is None
+
+
+def test_solve_reports_rank_and_sets_free_columns_to_zero():
+    els = [e.series for e in basis_integral(0, 2, prec=4)]
+    target = els[0] * Fraction(3) + els[1] * Fraction(-7, 2)
+    assert solve(target, els) == ([3, Fraction(-7, 2)], 2)
+    # a repeated element adds a free column and no rank
+    assert solve(target, els + [els[1]]) == ([3, Fraction(-7, 2), 0], 2)
+    assert solve(QYSeries.one(8), els) == (None, 2)
+    assert solve(QYSeries.zero(8), []) == ([], 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 12])
+def test_shifted_basis_is_the_basis_times_y_to_half_the_dimension(dim):
+    shifted = shifted_basis(dim, 3)
+    basis = basis_half_integral(0, dim, prec=3)
+    assert len(shifted) == len(basis)
+    for s, e in zip(shifted, basis):
+        assert s.prec2 == e.series.prec2
+        assert s.c == {k2: lau.shift(dim // 2) for k2, lau in e.series.c.items()}
+        # index dim/2 and the y^{floor(dim/2)} shift: y-exponents in 0..dim
+        # at q^0, as in the genus of a dim-fold
+        assert set(s.coefficient(0).c) <= set(range(dim + 1))
 
 
 def test_linear_fit_with_no_elements():
