@@ -15,10 +15,10 @@ bundle weight, negative-dimensional intersection, bad degree list; any
 other ValueError propagates), 4 integration or self-check failure (no
 generic evaluation point, the two evaluation points of the exact
 self-check disagreeing, or another built-in consistency check failing),
-5 a space with more fixed points than roots.MAX_FIXED_POINTS or of a
-dimension whose universal elliptic genus has more Chern monomials than
-genus.MAX_CHERN_MONOMIALS (refused before any enumeration).  Results go
-to stdout; diagnostics to stderr.
+5 a space with more fixed points than roots.MAX_FIXED_POINTS, or a genus
+with more Chern monomials than genus.MAX_CHERN_MONOMIALS or more (fixed
+point, monomial) pairs than genus.MAX_LOCALIZATION_TERMS (refused before
+any enumeration).  Results go to stdout; diagnostics to stderr.
 """
 
 from __future__ import annotations

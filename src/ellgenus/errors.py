@@ -62,8 +62,9 @@ class ConsistencyError(EllgenusError):
 
 class TooLarge(EllgenusError):
     """The request would enumerate more fixed points than
-    roots.MAX_FIXED_POINTS, or build a universal elliptic genus over more
-    Chern monomials than genus.MAX_CHERN_MONOMIALS."""
+    roots.MAX_FIXED_POINTS, build a universal elliptic genus over more
+    Chern monomials than genus.MAX_CHERN_MONOMIALS, or localize more (fixed
+    point, monomial) pairs than genus.MAX_LOCALIZATION_TERMS."""
 
 
 class BaseMismatch(EllgenusError):

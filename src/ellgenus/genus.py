@@ -32,26 +32,38 @@ identities.  Every partition has sum_m m e_m = d, so the factor is folded
 into the b_m: with g = G(0)/(1-y), each b_m is replaced by g^m b_m and no
 product by (G(0)/(1-y))^d is left.
 
-That sum is formed in integers.  Newton's identities have integer
-coefficients, so the transition T[lambda, mu] from the power-sum monomial
-prod_m p_m^{e_m} of a partition lambda to the Chern monomials mu is
-integral.  The partitions are walked recursively, largest part first,
-carrying two partial products built from memoized powers: prod_m b_m^{e_m}
-as a QYSeries and prod_m p_m^{e_m} as an integer polynomial in
-e_1..e_d whose monomials are encoded as one int in radix d+1, so that a
-monomial product is one addition.  Every partition series
-S_lambda = prod_m b_m^{e_m}/e_m! is put over one common denominator D,
-fixed before the walk, and sum_lambda T[lambda, mu] S_lambda is added
-cell by cell in Python ints (qseries.IntegerCombination) one partition at
-a time, so no transition row outlives its partition.  One QYSeries per
-Chern monomial is built only at the end.  Substituting Chern numbers forms
-sum_mu c_mu S_mu by the same integer combination.
+That sum is formed in integers, each series numerator packed into one int
+(qseries.PackedLayout): cell (q, y) to q^k is digit q W + y, W = d + 2k + 2,
+in base 2^B with signed digits, so a series product is one big-int product
+cut to q^k by one mask (factors with n > k act only beyond q^k).  Each
+g^m b_m is g^m base_m / delta_m, with g integral and base_m an int
+polynomial of y-span m over delta_m = lcm(den t_m, m!), cleared of its
+content.  Newton's identities have integer coefficients, so the transition
+T[lambda, mu] from the power-sum monomial prod_m p_m^{e_m} of a partition
+lambda to the Chern monomials mu is integral; its monomials in e_1..e_d are
+encoded as one int in radix d+1, so that a monomial product is one
+addition.  The partitions are walked recursively, largest part first, one
+packed product per step by a memoized power (g^m base_m)^e; each
+partition's numerator, scaled to the common denominator D = lcm of the
+den_lambda = prod_m delta_m^{e_m} e_m!, is added into each Chern
+monomial's sum by one multiply-add with T[lambda, mu], as substituting
+Chern numbers is one multiply-add per monomial.
 
-Factors with n > k contribute only beyond q^k, so the products are
-truncated at n = k.  The universal genus is kept as one QYSeries per Chern
-monomial and printed by the one series renderer, render.format_series;
-doubled q-exponents appear here only as the doubled precisions handed to
-QYSeries constructors.
+B is fixed before any packing, from L1 norms (sums of |cells| to q^k),
+which bound every cell and are submultiplicative.  Row by row, g is
+dominated by prod_{n<=k} (1-q^n)^-4 and so by (1-q)^{-4k}, hence
+||g^s|| <= N_g = C(4dk + k, k) for s <= d.  The monomials of p_m carry the
+sign (-1)^{m - length}, multiplicative in the e_i, so no product of them
+cancels and sum_mu |T[lambda, mu]| is prod_m p_m^{e_m} at
+e_i = (-1)^{i-1}, where prod_i (1 + x_i t) = (1 + 2t)/(1 + t): that is
+prod_m (2^m - 1)^{e_m}.  So no cell of a Chern monomial's sum exceeds
+
+    N_g * sum_lambda (D / den_lambda) prod_m ((2^m - 1) ||base_m||)^{e_m},
+
+nor does any partial product, power or factor of g, each part of some
+partition's product whose other factors have norms >= 1; B - 1 bits hold
+it.  As a check, G(x) = x at y = 1, so every q-row of every monomial's
+numerator sums to 0 over y, but the q^0 row of c_d, which sums to D.
 
 A Calabi-Yau d-fold takes a shorter path.  Its elliptic genus is a weak
 Jacobi form of weight 0 and index d/2 (Kawai-Yamada-Yang 1994,
@@ -74,13 +86,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .ci import chern_number, chern_numbers
 from .cohomology import CohomologyClass
 from .errors import ConsistencyError, InvalidInput, PrecisionZero, TooLarge
 from .jacobi import shifted_basis, solve
-from .qseries import IntegerCombination, LaurentY, QYSeries, _product_series, _rows
+from .qseries import PackedLayout, QYSeries
 from .render import format_series
 from .roots import Weight
 from .taylor import log_todd_coefficients
@@ -90,52 +102,52 @@ MAX_CHERN_MONOMIALS = 5000
 """Largest number p(dim) of Chern monomials, one per partition of dim, of
 a universal elliptic genus; beyond it TooLarge is raised before any work.
 E7[7] (dim 27, p = 3010) still runs; the full E6 flag (dim 36) does not."""
-_ONE_MINUS_Y = LaurentY({0: _F(1), 1: _F(-1)})
+MAX_LOCALIZATION_TERMS = 10 ** 6
+"""Largest product of fixed points and Chern monomials of one genus, past
+which TooLarge is raised before any work: about a minute at the 65-80 us
+per pair measured on chi_y of E6[2], E7[7] (56 x 3010, 16 s) and the full
+A5 flag on a 2-core host.  The full A7 flag (40320 x 3718) is refused."""
 
 
 # --------------------------------------------------------------------------
-# the per-root log coefficients, cleared of (1-y)
+# the per-root log coefficients, cleared of (1-y), in ints
 
 
-def _l_numerators(max_m):
-    """Numerators N_m with sum_j j^{m-1} y^j = N_m/(1-y)^m, m = 1..max_m."""
-    nums = [None, LaurentY.y_pow(1)]
-    for m in range(1, max_m):
-        n = nums[m]
-        nxt = (n.derivative() * _ONE_MINUS_Y + n * m).shift(1)
-        nums.append(nxt)
-    return nums
-
-
-def _log_coefficients(dim, k):
-    """g^m b_m for m = 1..dim, with b_m = (1-y)^m a_m and g = G(0)/(1-y),
-    as QYSeries to q^k."""
+def _log_bases(dim, k):
+    """Per m = 1..dim, (cells, delta_m): the int cells {(q, y): v} to q^k
+    of delta_m b_m, b_m = (1-y)^m a_m before g^m is folded in, over its
+    least denominator delta_m."""
     t = log_todd_coefficients(dim)
-    lnum = _l_numerators(dim)
-    g = _g0_series(k)
-    g_m = QYSeries.one(2 * k)
     out = {}
     for m in range(1, dim + 1):
-        fm = _F(1, factorial(m))
-        sign = _F(-1) if m % 2 else _F(1)  # (-1)^m
-        terms = {0: LaurentY.const(t[m])}
-        for n in range(1, k + 1):
-            for j in range(1, k // n + 1):
-                body = LaurentY({j: -sign, -j: _F(-1), 0: sign + 1})
-                piece = body * (fm * j ** (m - 1))
-                nj = n * j
-                terms[nj] = terms[nj] + piece if nj in terms else piece
-        g_m = g_m * g
-        out[m] = (QYSeries.from_q_dict(k, terms) * _ONE_MINUS_Y ** m
-                  + lnum[m] * (-sign * fm)) * g_m
+        sign = (-1) ** m
+        delta = lcm(t[m].denominator, factorial(m))
+        f = delta // factorial(m)
+        cells = {}
+        for q, y, v in [(0, 0, int(delta * t[m]))] + [
+                (n * j, y, c * f * j ** (m - 1)) for n in range(1, k + 1)
+                for j in range(1, k // n + 1)
+                for y, c in ((j, -sign), (-j, -1), (0, sign + 1))]:
+            for i in range(m + 1):  # times (1-y)^m
+                cells[q, y + i] = cells.get((q, y + i), 0) + (-1) ** i * comb(m, i) * v
+        for y in range(1, m + 1):  # N_m, its coefficients Eulerian numbers
+            cells[0, y] -= sign * f * sum((-1) ** i * comb(m, i) * (y - i) ** (m - 1)
+                                          for i in range(y))
+        content = gcd(delta, *cells.values())
+        out[m] = ({cell: v // content for cell, v in cells.items() if v},
+                  delta // content)
     return out
 
 
-def _g0_series(k):
-    """G(0)/(1-y) as a QYSeries to q^k: prod_{n<=k}
-    (1-yq^n)(1-y^{-1}q^n)/(1-q^n)^2."""
-    factors = ((1, 1), (-1, 1), (0, -2))  # (s, e): (1 - q^n y^s)^e
-    return _product_series(_rows(LaurentY.const(1), k), factors)
+def _g_packed(layout):
+    """g = G(0)/(1-y) = prod_{n<=k} (1-yq^n)(1-y^{-1}q^n)/(1-q^n)^2, packed."""
+    k, g = layout.order, 1
+    for n in range(1, k + 1):
+        geometric = layout.pack(((n * j, 0), 1) for j in range(k // n + 1))
+        for s in (1, -1):
+            g = layout.mul(g, layout.pack((((0, 0), 1), ((n, s), -1))))
+        g = layout.mul(layout.mul(g, geometric), geometric)
+    return g
 
 
 def _partitions(total, largest):
@@ -161,34 +173,38 @@ def _partition_count(n):
 
 
 # --------------------------------------------------------------------------
-# symmetric-function bookkeeping: a polynomial in e_1..e_d is a
-# CohomologyClass in d variables, variable m-1 standing for e_m
+# symmetric-function bookkeeping: a polynomial in e_1..e_d is a dict
+# {code: int}, its monomials encoded as one int in radix d+1
 
 
-@lru_cache(maxsize=None)
+def _power_sums(dim):
+    """p_1..p_dim in e_1..e_dim, index m, as {code: int}: the exponent
+    tuple (a_1, ..., a_dim) encoded as sum_i a_i radix^(i-1), radix dim+1.
+    By Newton's identity p_m = sum_{i<m} (-1)^{i-1} e_i p_{m-i}
+    + (-1)^{m-1} m e_m, where multiplying by e_i adds radix^(i-1)."""
+    radix = dim + 1
+    p = [None]
+    for m in range(1, dim + 1):
+        poly = {radix ** (m - 1): (-1) ** (m - 1) * m}
+        for i in range(1, m):
+            shift, sign = radix ** (i - 1), (-1) ** (i - 1)
+            for code, v in p[m - i].items():
+                poly[code + shift] = poly.get(code + shift, 0) + sign * v
+        p.append(poly)
+    return p
+
+
 def power_sum_in_elementary(m, dim):
     """p_m as a CohomologyClass in dim variables, variable i-1 standing for
-    e_i, by Newton's identity
-    p_m = sum_{i<m} (-1)^{i-1} e_i p_{m-i} + (-1)^{m-1} m e_m."""
+    e_i (_power_sums)."""
     if not 1 <= m <= dim:
         raise InvalidInput("power sum index out of range")
-    e = lambda i: CohomologyClass.linear_form([int(j == i - 1) for j in range(dim)])
-    total = e(m) * ((-1) ** (m - 1) * m)
-    for i in range(1, m):
-        rec = power_sum_in_elementary(m - i, dim)
-        total = total + e(i).times(rec) * (-1) ** (i - 1)
-    return total
-
-
-def _encoded(poly, radix):
-    """A CohomologyClass with integral coefficients as {code: int}, the
-    exponent tuple (a_1, ..., a_d) encoded as sum_i a_i radix^(i-1)."""
-    return {sum(a * radix ** i for i, a in enumerate(e)): int(c)
-            for e, c in poly.c.items()}
+    return CohomologyClass(dim, {_decoded(code, dim, dim + 1): _F(v)
+                                 for code, v in _power_sums(dim)[m].items()})
 
 
 def _decoded(code, dim, radix):
-    """The exponent tuple of length dim that _encoded maps to code."""
+    """The exponent tuple of length dim encoded as code in radix."""
     exponents = []
     for _ in range(dim):
         code, a = divmod(code, radix)
@@ -219,20 +235,28 @@ def _check_monomial_count(dim):
         raise TooLarge(f"a {dim}-fold's universal elliptic genus has {count} "
                        f"Chern monomials, more than the limit of "
                        f"{MAX_CHERN_MONOMIALS}")
+    return count
 
 
 class ChernSymbolSeries:
-    """The universal genus of a dim-fold to q^order: one QYSeries per Chern
-    monomial c_1^{a_1} ... c_d^{a_d} of weighted degree exactly d, keyed by
-    the exponent tuple (a_1, ..., a_d), zero series dropped."""
+    """The universal genus of a dim-fold to q^order: per Chern monomial
+    c_1^{a_1} ... c_d^{a_d} of weighted degree exactly d, keyed by the
+    exponent tuple (a_1, ..., a_d), the numerator of its series over the
+    common denominator den, packed in layout (qseries.PackedLayout), zero
+    series dropped; no cell exceeds largest in absolute value."""
 
-    def __init__(self, dim, order, series):
-        self.dim = dim
-        self.order = order
-        self.series = {e: s for e, s in series.items() if not s.is_zero()}
+    def __init__(self, dim, order, layout, den, packed, largest):
+        self.dim, self.order = dim, order
+        self.layout, self.den, self.largest = layout, den, largest
+        self.packed = {e: x for e, x in packed.items() if x}
+
+    @property
+    def series(self):
+        """One QYSeries per Chern monomial."""
+        return {e: self.layout.series(x, self.den) for e, x in self.packed.items()}
 
     def monomials(self):
-        return sorted(self.series, reverse=True)
+        return sorted(self.packed, reverse=True)
 
     def coefficient(self, q, exponents):
         """LaurentY coefficient of one Chern monomial at q^q, exponents
@@ -242,18 +266,20 @@ class ChernSymbolSeries:
             raise InvalidInput(f"expected {self.dim} exponents")
         if q > self.order:
             raise PrecisionZero(f"q^{q} beyond retained precision")
-        return self.series[e].coefficient(q) if e in self.series else LaurentY()
+        return self.layout.series(self.packed.get(e, 0), self.den).coefficient(q)
 
     def substitute(self, values):
         """QYSeries obtained by replacing each Chern monomial by a number;
-        values maps exponent tuples to Fractions.  The sum is one integer
-        combination over the common denominator of its terms."""
-        terms = [(values[e], s) for e, s in self.series.items() if values[e]]
-        total = IntegerCombination(lcm(*(v.denominator * s.denominator()
-                                         for v, s in terms)), 2 * self.order)
-        for v, s in terms:
-            total.add(v.numerator, s.numerators(total.den // v.denominator))
-        return total.series()
+        values maps exponent tuples to Fractions.  One multiply-add per
+        monomial, in a layout widened when the sum could outgrow it."""
+        terms = [(values[e], x) for e, x in self.packed.items() if values[e]]
+        scale = lcm(*(v.denominator for v, _ in terms))
+        coeffs = [v.numerator * (scale // v.denominator) for v, _ in terms]
+        wide = PackedLayout(self.order, self.dim, sum(map(abs, coeffs)) * self.largest)
+        layout = self.layout if wide.bits <= self.layout.bits else wide
+        total = sum(c * (x if layout is self.layout else wide.pack(self.layout.cells(x)))
+                    for c, (_, x) in zip(coeffs, terms))
+        return layout.series(total, self.den * scale)
 
     def __str__(self):
         # row q, y-power y^j: the (coefficient, monomial) pairs, monomials
@@ -262,10 +288,9 @@ class ChernSymbolSeries:
         for e in self.monomials():
             label = "*".join(f"c{m}" if a == 1 else f"c{m}^{a}"
                              for m, a in enumerate(e, start=1) if a)
-            for q, ly in self.series[e].terms():
-                row = rows.setdefault(q, {})
-                for j, c in ly.c.items():
-                    row.setdefault(j, []).append((c, label))
+            for (q, j), v in self.layout.cells(self.packed[e]):
+                rows.setdefault(q, {}).setdefault(j, []).append(
+                    (_F(v, self.den), label))
         return format_series(sorted((q, sorted(row.items()))
                                     for q, row in rows.items()), self.order)
 
@@ -277,48 +302,66 @@ class ChernSymbolSeries:
 def elliptic_genus_chernnum(dim, k):
     """Universal elliptic genus of a dim-fold to q-order k, as Chern
     monomials; multiplied by y^{dim/2} so y-exponents are integers.
-    TooLarge, before any work, past MAX_CHERN_MONOMIALS monomials."""
+    TooLarge, before any work, past MAX_CHERN_MONOMIALS monomials;
+    ConsistencyError when the result at y = 1 is not c_dim."""
     if dim < 1:
         raise InvalidInput("dimension must be at least 1")
     if k < 0:
         raise InvalidInput("q-order must be nonnegative")
     _check_monomial_count(dim)
-    b = _log_coefficients(dim, k)
-    radix = dim + 1  # no exponent of a weighted-degree-dim monomial exceeds dim
-    # b_m^e/e! and p_m^e for e <= dim // m, index e
+    bases = _log_bases(dim, k)
+    # delta_m^e e!, the denominator of b_m^e/e!, for e <= dim // m
+    dens = {m: [delta ** e * factorial(e) for e in range(dim // m + 1)]
+            for m, (_, delta) in bases.items()}
+    # D and the cell bound of the module docstring, per partition
+    weights = {m: (2 ** m - 1) * sum(map(abs, cells.values()))
+               for m, (cells, _) in bases.items()}
+    parts = [(prod(dens[m][e] for m, e in enumerate(part, start=1)),
+              prod(weights[m] ** e for m, e in enumerate(part, start=1)))
+             for part in _partitions(dim, dim)]
+    den = lcm(*(d for d, _ in parts))
+    layout = PackedLayout(k, dim, comb(4 * dim * k + k, k)
+                          * sum(den // d * w for d, w in parts))
+    # (g^m b_m)^e and p_m^e for e <= dim // m, index e
+    g, g_m = _g_packed(layout), 1
     series_pows, poly_pows = {}, {}
-    for m in range(1, dim + 1):
-        p = _encoded(power_sum_in_elementary(m, dim), radix)
-        series_pows[m], poly_pows[m] = [QYSeries.one(2 * k), b[m]], [{0: 1}, p]
+    for (m, (cells, _)), p in zip(bases.items(), _power_sums(dim)[1:]):
+        g_m = layout.mul(g_m, g)
+        b = layout.mul(layout.pack(cells.items()), g_m)
+        series_pows[m], poly_pows[m] = [1, b], [{0: 1}, p]
         for e in range(2, dim // m + 1):
-            series_pows[m].append(series_pows[m][-1] * b[m] * _F(1, e))
+            series_pows[m].append(layout.mul(series_pows[m][-1], b))
             poly_pows[m].append(_poly_times(poly_pows[m][-1], p))
-    # one common denominator for every partition's prod_m b_m^{e_m}/e_m!
-    dens = {m: [s.denominator() for s in pows] for m, pows in series_pows.items()}
-    den = lcm(*(prod(dens[m][e] for m, e in enumerate(partition, start=1))
-                for partition in _partitions(dim, dim)))
-    # the weighted-degree-dim part of exp(sum_m b_m p_m): per partition,
-    # its series is added into each Chern monomial's integer combination
-    # with the monomial's coefficient in prod_m p_m^{e_m}
+    # the weighted-degree-dim part of exp(sum_m b_m p_m): per partition, its
+    # numerator over den times T[lambda, mu] goes into the sum of each mu
     sums = {}
 
-    def walk(m, rest, series, poly):
+    def walk(m, rest, series, den_l, poly):
         # choose e_m, ..., e_1 with sum_i i e_i = rest
         if rest == 0:
-            cells = series.numerators(den)
+            series *= den // den_l
             for code, t in poly.items():
-                if code not in sums:
-                    sums[code] = IntegerCombination(den, 2 * k)
-                sums[code].add(t, cells)
+                sums[code] = sums.get(code, 0) + t * series
             return
         for e in range(rest // m + 1) if m > 1 else (rest,):
             walk(m - 1, rest - m * e,
-                 series * series_pows[m][e] if e else series,
-                 _poly_times(poly, poly_pows[m][e]) if e else poly)
+                 layout.mul(series, series_pows[m][e]) if e else series,
+                 den_l * dens[m][e], _poly_times(poly, poly_pows[m][e]) if e else poly)
 
-    walk(dim, dim, QYSeries.one(2 * k), {0: 1})
-    return ChernSymbolSeries(dim, k, {_decoded(code, dim, radix): acc.series()
-                                      for code, acc in sums.items()})
+    walk(dim, dim, 1, 1, {0: 1})
+    # G(x) = x at y = 1: every q-row of every numerator sums to 0 over y,
+    # but the q^0 row of c_dim, which sums to den
+    radix = dim + 1  # no exponent of a weighted-degree-dim monomial exceeds dim
+    largest = 0
+    for code, x in sums.items():
+        rows = [0] * (k + 1)
+        for (q, _), v in layout.cells(x):
+            rows[q] += v
+            largest = max(largest, abs(v))
+        if rows != [den if code == radix ** (dim - 1) else 0] + [0] * k:
+            raise ConsistencyError("the universal elliptic genus is not c_d at y = 1")
+    return ChernSymbolSeries(dim, k, layout, den, {
+        _decoded(code, dim, radix): x for code, x in sums.items()}, largest)
 
 
 def elliptic_genus(manifold, k, rng=None):
@@ -334,10 +377,15 @@ def elliptic_genus(manifold, k, rng=None):
         points = chern_number(manifold, [], rng=rng)
         return QYSeries.const(points, 2 * k)
     # the fixed-point guard runs first and without walking; the universal
-    # series' size is checked next, both before any work
-    manifold.ambient.parabolic.check_fixed_point_count()
+    # series' size is checked next, then their product, all before any work
+    parabolic = manifold.ambient.parabolic
+    parabolic.check_fixed_point_count()
+    terms = parabolic.fixed_point_count() * _check_monomial_count(dim)
+    if terms > MAX_LOCALIZATION_TERMS:
+        raise TooLarge(f"the localization of a {dim}-fold's Chern numbers "
+                       f"has {terms} (fixed point, Chern monomial) pairs, "
+                       f"more than the limit of {MAX_LOCALIZATION_TERMS}")
     if k > 0 and _c1_vanishes(manifold):
-        _check_monomial_count(dim)
         basis = shifted_basis(dim, k)
         k0 = next((j for j in range(k)
                    if solve(QYSeries.zero(2 * j), basis)[1] == len(basis)), None)

@@ -10,13 +10,13 @@ and jacobi still pass doubled precisions.  Every view out of a series
 and the text comes from the one series renderer, ``render.format_series``.
 A series remembers its precision (the largest retained doubled
 exponent).  Arithmetic truncates to the smaller operand precision;
-division is one long-division pass over the q-rows.  A linear
-combination with integer coefficients (the universal genus' partition
-sum and its substitution of Chern numbers) is one IntegerCombination,
-added cell by cell in ints over one common denominator; its cells are
-opaque to callers, which pass them from numerators() to add().  Products
-prod_n (1 - q^n y^s)^e (eta, the Jacobi generators and the genus
-prefactor) are built by _product_series, in place on the rows.
+division is one long-division pass over the q-rows.  The universal
+genus does its series arithmetic on numerators packed into one int each
+(PackedLayout, Kronecker substitution): a product is one big-int product
+and one mask, a linear combination one multiply-add per term, and its
+QYSeries are built only from the unpacked cells.  Products
+prod_n (1 - q^n y^s)^e (eta and the Jacobi generators) are built by
+_product_series, in place on the rows.
 
 >>> one = LaurentY.const(1)
 >>> s = QYSeries(6, {0: one, 2: -one})        # 1 - q at precision q^3
@@ -27,7 +27,6 @@ prefactor) are built by _product_series, in place on the rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import DivisionByNonUnit, InvalidInput, PrecisionZero
 from .render import format_laurent, format_series
@@ -148,10 +147,6 @@ class LaurentY:
     def reciprocal_y(self):
         """Substitute y -> 1/y."""
         return LaurentY({-e: v for e, v in self.c.items()})
-
-    def derivative(self):
-        """d/dy."""
-        return LaurentY({e - 1: v * e for e, v in self.c.items() if e})
 
     def at_one(self):
         """Evaluate at y = 1."""
@@ -370,17 +365,6 @@ class QYSeries:
         out.c = {k: v for k, v in self.c.items() if k <= prec2}
         return out
 
-    def denominator(self):
-        """Least common denominator of every coefficient."""
-        return lcm(*(v.denominator for row in self.c.values()
-                     for v in row.c.values()))
-
-    def numerators(self, den):
-        """The cells of den * self as ((doubled q-exponent, y-exponent),
-        int) pairs; den must be a multiple of denominator()."""
-        return [((k, e), v.numerator * (den // v.denominator))
-                for k, row in self.c.items() for e, v in row.c.items()]
-
     def specialize_y1(self):
         """Set y = 1 in every coefficient."""
         return QYSeries(self.prec2, {k: LaurentY.const(v.at_one()) for k, v in self.c.items()})
@@ -397,30 +381,56 @@ class QYSeries:
         return f"QYSeries({self})"
 
 
-class IntegerCombination:
-    """A linear combination sum_i c_i S_i of QYSeries of one precision
-    prec2 with integer c_i, accumulated cell by cell in ints over one
-    common denominator den fixed up front: add(c, S.numerators(den)) per
-    term, then series() builds the one QYSeries at the end."""
+class PackedLayout:
+    """Kronecker substitution for the numerators of series to q^order whose
+    row q has its y-exponents in [-q, span + q]: cell (q, y) is digit
+    q * width + y of one int in base 2^bits, with signed digits.  With
+    width = span + 2 * order + 2, rows past q^order of a product of two
+    such ints (their spans adding up to at most span) start above the size
+    digits of rows 0..order, so mul() truncates by one mask and keeps the
+    digits signed, 0 only for the zero series, while each fits its range;
+    bits, a multiple of 8 for whole-byte reads, is fixed before any
+    packing from the caller's bound on every cell."""
 
-    __slots__ = ("den", "prec2", "cells")
+    __slots__ = ("order", "width", "bits", "size", "_half", "_mask")
 
-    def __init__(self, den, prec2):
-        self.den = den
-        self.prec2 = prec2
-        self.cells = {}
+    def __init__(self, order, span, bound):
+        self.order, self.bits = order, _bits_for(bound)
+        self.width = span + 2 * order + 2
+        self.size = order * self.width + span + order + 1
+        self._mask = (1 << self.bits * self.size) - 1
+        self._half = self._mask // ((1 << self.bits) - 1) << (self.bits - 1)
 
-    def add(self, coeff, numerators):
-        cells = self.cells
-        for cell, v in numerators:
-            cells[cell] = cells.get(cell, 0) + coeff * v
+    def pack(self, cells):
+        """The int of ((q, y), int) cells."""
+        return sum(v << self.bits * (q * self.width + y) for (q, y), v in cells)
 
-    def series(self):
-        out = QYSeries(self.prec2)
-        for (k, e), v in self.cells.items():
+    def mul(self, a, b):
+        """The product of two packed series, truncated after q^order."""
+        return ((a * b + self._half) & self._mask) - self._half
+
+    def cells(self, x):
+        """The nonzero ((q, y), int) cells of rows 0..order of x."""
+        nb, h, out = self.bits // 8, 1 << (self.bits - 1), []
+        data = ((x + self._half) & self._mask).to_bytes(self.size * nb, "little")
+        for i in range(self.size):
+            v = int.from_bytes(data[i * nb:(i + 1) * nb], "little") - h
             if v:
-                out.c.setdefault(k, LaurentY()).c[e] = Fraction(v, self.den)
+                q = (i + self.order) // self.width
+                out.append(((q, i - q * self.width), v))
         return out
+
+    def series(self, x, den):
+        """The QYSeries x / den."""
+        out = QYSeries(2 * self.order)
+        for (q, y), v in self.cells(x):
+            out.c.setdefault(2 * q, LaurentY()).c[y] = Fraction(v, den)
+        return out
+
+
+def _bits_for(bound):
+    """The least multiple of 8 bits whose signed digits hold |v| <= bound."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
 
 
 def _product_series(rows, factors):

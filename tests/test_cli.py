@@ -321,6 +321,9 @@ def test_too_many_fixed_points_exits_5(no_walk):
     # 51840 fixed points pass their guard; dim 36 has p(36) = 17977 monomials
     (["genus", "--space", "E6[1,2,3,4,5,6]", "--order", "0"], "17977"),
     (["chi-y", "--space", "E6[1,2,3,4,5,6]"], "17977"),
+    # 40320 fixed points and p(28) = 3718 monomials pass their guards, but
+    # not their product
+    (["chi-y", "--space", "A7[1,2,3,4,5,6,7]"], "149909760"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_genus_refuses_huge_space_before_universal_series(argv, count, no_walk):
     start = time.perf_counter()

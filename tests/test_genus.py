@@ -15,15 +15,17 @@ from ellgenus.bundles import EquivariantVectorBundle, completely_reducible_bundl
 from ellgenus.ci import CompleteIntersection, chern_number
 from ellgenus.cohomology import CohomologyClass
 from ellgenus import genus as genus_module
+from ellgenus import qseries
 from ellgenus.errors import ConsistencyError, InvalidInput, PrecisionZero, TooLarge
-from ellgenus.genus import (MAX_CHERN_MONOMIALS, ChernSymbolSeries,
+from ellgenus.genus import (MAX_CHERN_MONOMIALS, MAX_LOCALIZATION_TERMS,
+                            ChernSymbolSeries,
                             _partition_count, _partitions, chi_y,
                             elliptic_genus, elliptic_genus_chernnum,
                             power_sum_in_elementary)
 from ellgenus.homog import homogeneous_space
 from ellgenus.jacobi import linear_fit, shifted_basis, solve
-from ellgenus.qseries import LaurentY, QYSeries
-from ellgenus.roots import Weight, parabolic
+from ellgenus.qseries import LaurentY, PackedLayout, QYSeries
+from ellgenus.roots import MAX_FIXED_POINTS, Weight, parabolic
 
 CHERNNUM_3_1 = (
     "1/24*c1*c2 + (-1/24*c1*c2 + 1/2*c3)*y + (-1/24*c1*c2 + 1/2*c3)*y^2 "
@@ -189,33 +191,77 @@ CHERNNUM_DIGESTS = {
     (16, 0): "e7b13ea3a0b8a7ead0c8e0049cf41289b62e3397fd58236f7b1e5b246e768047",
     (18, 0): "a951a954372ed17175f564415c9544091a760c8a194baeda88fe6a549d6b6343",
     (12, 3): "d288ec22606433613016d584456ca67989b57362c5e43b2b280d70c0908b1fbc",
+    # printed by the integer accumulation, before the packed integers
+    (20, 0): "53d398d1ddb4fddb815dc96f7cc8fc5742f8eb93b73086f58b8bb20bc16d9289",
+    (21, 0): "95df439fd33a9f80b9c5178aba15f7c32d04226a5eaf90d6a4a354dbe6b6c5cc",
 }
 
 
 @pytest.mark.parametrize("dim,k", sorted(CHERNNUM_DIGESTS))
 def test_chernnum_listing_digests(dim, k):
-    text = str(elliptic_genus_chernnum(dim, k))
-    assert hashlib.sha256(text.encode()).hexdigest() == CHERNNUM_DIGESTS[dim, k]
+    g = elliptic_genus_chernnum(dim, k)
+    assert hashlib.sha256(str(g).encode()).hexdigest() == CHERNNUM_DIGESTS[dim, k]
+    # the listed monomials are exactly those with a nonzero series
+    assert not any(s.is_zero() for s in g.series.values())
 
 
 def test_chernnum_adds_no_series_per_monomial(monkeypatch):
-    # the partition sum is one integer accumulation: building the series
-    # adds QYSeries at most p(12) = 77 times, where a sum formed in series
+    # the partition sum runs on packed integers: building the series adds
+    # or multiplies no QYSeries at all, where a sum formed in series
     # arithmetic adds one per (partition, Chern monomial) pair
     calls = []
-    add = QYSeries.__add__
-
-    def counted(self, other):
-        calls.append(1)
-        return add(self, other)
-
-    monkeypatch.setattr(QYSeries, "__add__", counted)
+    for name in ("__add__", "__mul__"):
+        real = getattr(QYSeries, name)
+        monkeypatch.setattr(QYSeries, name, lambda self, other, real=real:
+                            calls.append(1) or real(self, other))
     elliptic_genus_chernnum.cache_clear()
     try:
         elliptic_genus_chernnum(12, 0)
     finally:
         elliptic_genus_chernnum.cache_clear()
-    assert len(calls) <= _partition_count(12) == 77
+    assert calls == []
+
+
+def test_packed_width_covers_every_intermediate(monkeypatch):
+    # the bound fixes the width before any packing; rerun with 64 spare
+    # bits, so nothing can overflow, and record every product and sum
+    for m in range(1, 9):
+        assert sum(map(abs, power_sum_in_elementary(m, 8).c.values())) \
+            == 2 ** m - 1
+    real_bits, real_mul = qseries._bits_for, PackedLayout.mul
+    largest = []
+
+    def recording_mul(self, a, b):
+        product = real_mul(self, a, b)
+        largest.append(max((abs(v) for _, v in self.cells(product)), default=0))
+        return product
+
+    for dim in range(1, 9):
+        for k in range(5):
+            elliptic_genus_chernnum.cache_clear()
+            bits = elliptic_genus_chernnum(dim, k).layout.bits
+            largest.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(qseries, "_bits_for", lambda b: real_bits(b) + 64)
+                patch.setattr(PackedLayout, "mul", recording_mul)
+                elliptic_genus_chernnum.cache_clear()
+                wide = elliptic_genus_chernnum(dim, k)
+            assert wide.layout.bits == bits + 64
+            assert max(largest + [wide.largest]).bit_length() <= bits - 1, (dim, k)
+    elliptic_genus_chernnum.cache_clear()
+
+
+def test_overflowing_width_fails_the_check_at_y_equal_1(monkeypatch):
+    # one byte short of the bound, the (2, 1) sums wrap around; at y = 1
+    # the universal series must be c_2, and the wrapped one is not
+    real_bits = qseries._bits_for
+    monkeypatch.setattr(qseries, "_bits_for", lambda b: real_bits(b) - 8)
+    elliptic_genus_chernnum.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="y = 1"):
+            elliptic_genus_chernnum(2, 1)
+    finally:
+        elliptic_genus_chernnum.cache_clear()
 
 
 def test_chernnum_validation():
@@ -235,6 +281,10 @@ def test_substitute_matches_direct_genus():
     g = elliptic_genus_chernnum(2, 1)
     series = g.substitute({(2, 0): Fraction(9), (0, 1): Fraction(3)})
     assert series == elliptic_genus(p2, 1)
+    # values too large for the packed width of the sums widen it
+    big = {(2, 0): Fraction(10 ** 40, 7), (0, 1): Fraction(-3 ** 90, 11)}
+    assert g.substitute(big) == sum((s * big[e] for e, s in g.series.items()),
+                                    QYSeries.zero(2))
 
 
 # --- frozen example listings -------------------------------------------------
@@ -668,6 +718,15 @@ def test_universal_series_size_guard():
     # E7[7] (dim 27, p = 3010 monomials) stays under the limit
     assert parabolic("E7", [7]).dimension() == 27
     assert _partition_count(27) <= MAX_CHERN_MONOMIALS
+    # and under the localization limit, 56 x 3010; the full A7 flag, which
+    # passes both other guards, is over it
+    assert parabolic("E7", [7]).fixed_point_count() * _partition_count(27) \
+        <= MAX_LOCALIZATION_TERMS
+    a7 = parabolic("A7", range(1, 8))
+    assert a7.fixed_point_count() <= MAX_FIXED_POINTS
+    assert _partition_count(a7.dimension()) <= MAX_CHERN_MONOMIALS
+    assert a7.fixed_point_count() * _partition_count(a7.dimension()) \
+        > MAX_LOCALIZATION_TERMS
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="17977"):
         elliptic_genus_chernnum(36, 0)

@@ -12,7 +12,8 @@ import ellgenus.qseries
 import ellgenus.taylor
 from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import DivisionByNonUnit, InvalidInput, PrecisionZero
-from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product
+from ellgenus.qseries import (LaurentY, PackedLayout, QYSeries, eisenstein,
+                             eta_product)
 from ellgenus.taylor import log_todd_coefficients, todd_coefficients
 from theta_reference import theta
 
@@ -215,7 +216,6 @@ def test_laurent_helpers():
     assert a.shift(3) == LaurentY({2: 2, 3: -3, 5: Fraction(1, 2)})
     assert a.reciprocal_y() == LaurentY({1: 2, 0: -3, -2: Fraction(1, 2)})
     assert a.scale_exponents(2) == LaurentY({-2: 2, 0: -3, 4: Fraction(1, 2)})
-    assert a.derivative() == LaurentY({-2: -2, 1: 1})
     assert a.support() == [-1, 0, 2]
     with pytest.raises(InvalidInput):
         LaurentY({0: 1}) ** -1
@@ -288,3 +288,43 @@ def test_truncate_and_equality_respect_precision():
     assert b.prec2 == 6
     for n in range(4):
         assert b.coefficient(n) == a.coefficient(n)
+
+
+# --- the packed (Kronecker) layout --------------------------------------------
+
+def _cells_product(a, b, order):
+    """The rows up to q^order of the product of two cell dicts, cell by
+    cell: the reference the packed product must match."""
+    out = {}
+    for (qa, ya), va in a.items():
+        for (qb, yb), vb in b.items():
+            if qa + qb <= order:
+                cell = (qa + qb, ya + yb)
+                out[cell] = out.get(cell, 0) + va * vb
+    return {c: v for c, v in out.items() if v}
+
+
+def test_packed_round_trip_keeps_negative_cells_and_zero():
+    # row q of a span-3 series may reach y = -q and y = 3 + q
+    layout = PackedLayout(2, 3, 1000)
+    cells = {(0, 0): -1000, (0, 3): 7, (1, -1): 999, (1, 4): -1,
+             (2, -2): -512, (2, 5): 1000, (2, 0): -3}
+    x = layout.pack(cells.items())
+    assert dict(layout.cells(x)) == cells
+    assert layout.cells(layout.pack(())) == []
+    assert layout.series(x, 4) == QYSeries.from_q_dict(2, {
+        0: LaurentY({0: -250, 3: Fraction(7, 4)}),
+        1: LaurentY({-1: Fraction(999, 4), 4: Fraction(-1, 4)}),
+        2: LaurentY({-2: -128, 5: 250, 0: Fraction(-3, 4)})})
+
+
+def test_packed_product_drops_negative_rows_past_the_order():
+    # spans 1 and 2 add up to the layout's 3; every row past q^1 of the
+    # product is negative, so dropping it must borrow nothing from below
+    layout = PackedLayout(1, 3, 10 ** 6)
+    a = {(0, 0): 5, (0, 1): -3, (1, -1): 7, (1, 2): 2}
+    b = {(0, 2): 4, (0, 0): -1, (1, -1): -6, (1, 3): -9}
+    product = layout.mul(layout.pack(a.items()), layout.pack(b.items()))
+    assert dict(layout.cells(product)) == _cells_product(a, b, 1)
+    dropped = {c: v for c, v in _cells_product(a, b, 2).items() if c[0] == 2}
+    assert dropped and all(v < 0 for v in dropped.values())
