@@ -12,9 +12,9 @@ Exit codes: 0 success, 2 malformed command line (also an unsupported
 type or a crossed node out of range), 3 mathematically invalid input
 (odd basis weight, negative Jacobi index, non-dominant or wrongly sized
 bundle weight, negative-dimensional intersection, bad degree list; any
-other ValueError propagates), 4 integration or self-check failure (no
-generic evaluation point, the two evaluation points of the exact
-self-check disagreeing, or another built-in consistency check failing),
+other ValueError propagates), 4 integration or self-check failure (the
+two evaluation points of the exact self-check disagreeing, or another
+built-in consistency check failing),
 5 a space with more fixed points than roots.MAX_FIXED_POINTS, or a genus
 with more Chern monomials than genus.MAX_CHERN_MONOMIALS or more (fixed
 point, monomial) pairs than genus.MAX_LOCALIZATION_TERMS (refused before
@@ -32,9 +32,8 @@ from functools import lru_cache
 
 from .bundles import completely_reducible_bundle
 from .ci import CompleteIntersection, chern_number
-from .errors import (ConsistencyError, DegeneratePoint, InvalidInput,
-                     NegativeDimension, NotPDominant, OddWeight, TooLarge,
-                     UnknownType)
+from .errors import (ConsistencyError, InvalidInput, NegativeDimension,
+                     NotPDominant, OddWeight, TooLarge, UnknownType)
 from .genus import chi_y, elliptic_genus
 from .homog import HomogeneousSpace
 from .jacobi import basis_half_integral
@@ -45,7 +44,6 @@ from .roots import parabolic
 _SPACE_RE = re.compile(r"([A-Ga-g])(\d+)\[(\d+(?:,\d+)*)\]")
 
 _MATH_ERRORS = (NotPDominant, NegativeDimension, OddWeight, InvalidInput)
-_INTEGRATION_ERRORS = (ConsistencyError, DegeneratePoint)
 
 
 def _series_terms(series):
@@ -210,9 +208,9 @@ def render_payload(payload):
     return payload["value"]
 
 
-def main(argv=None, rng=None):
-    """Run the CLI; an injected rng overrides --seed (tests use this to
-    force degenerate draws)."""
+def main(argv=None):
+    """Run the CLI on argv (sys.argv[1:] when None) and return the exit
+    code; --seed seeds the evaluation points, which no result depends on."""
     try:
         args = parse_args(argv)
     except SpecError as err:
@@ -220,11 +218,10 @@ def main(argv=None, rng=None):
         return 2
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
-    if rng is None:
-        rng = random.Random(args.seed) if args.seed is not None else random.Random()
+    rng = random.Random(args.seed)
     try:
         payload = _payload(args, rng)
-    except _INTEGRATION_ERRORS as err:
+    except ConsistencyError as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return 4
     except TooLarge as err:

@@ -48,7 +48,8 @@ class NotPDominant(EllgenusError):
 
 
 class DegeneratePoint(EllgenusError):
-    """No generic evaluation point found for localization after retrying."""
+    """A tangent root vanishes at a point passed to localization_sum by its
+    caller; never at the dominant points that localize draws."""
 
 
 class ConsistencyError(EllgenusError):

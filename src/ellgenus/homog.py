@@ -13,17 +13,22 @@ adds its value times e(E)/e(TM) to its own total.  Chern numbers
 multiply entries of c(TX); integrate(f) evaluates f at D A_w p.
 
 The sum is a constant function of the point, so localize, the one draw
-protocol, evaluates it exactly at a random integer point and at a second
-independent point that must give the same value (ConsistencyError
-otherwise); no rational function is simplified symbolically.  Every
-top-degree sum is homogeneous of degree 0 in the point, so D cancels.
+protocol, evaluates it exactly at two points that must agree; no rational
+function is simplified symbolically.  Each point is p = sum_i c_i omega_i
+with random integer labels c_i in [1, _LABEL_BOUND], times the lcm of its
+denominators (every top-degree sum is homogeneous of degree 0 in p, so
+that scale and D cancel).  It lies in the open dominant chamber, so
+<beta, w p> != 0 for every root beta and Weyl element w (Humphreys,
+Reflection Groups and Coxeter Groups, 1.12): no tangent root vanishes at a
+fixed point, and no point is redrawn.  A section root may vanish; that
+only zeroes e(E), as c(TX) = c(TM)/c(E) divides by c_0(E) = 1.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from . import bundles
 from .errors import ConsistencyError, DegeneratePoint
@@ -31,8 +36,7 @@ from .roots import ParabolicSubgroup
 from .taylor import _elementary, _graded_division
 
 _F = Fraction
-_POINT_BOUND = 10 ** 6
-_MAX_DRAWS = 32
+_LABEL_BOUND = 20
 
 
 class HomogeneousSpace:
@@ -97,7 +101,7 @@ class HomogeneousSpace:
         e(E)/e(TM).  Each integrand(moved, chern) returns the factors of
         its class at w, and its total gains their product times the
         weight.  Exact for int or Fraction coordinates; raises
-        DegeneratePoint when a tangent root vanishes.
+        DegeneratePoint on a root hyperplane, where localize never draws.
         """
         dim = self.dimension() - len(section)
         section = [beta.coords for beta in section]
@@ -124,7 +128,7 @@ class HomogeneousSpace:
 
     def integrate(self, f, rng=None):
         """Integral of the top-degree component of f over the manifold, a
-        Fraction computed at two independent generic integer points
+        Fraction computed by localize at two dominant integer points
         (ConsistencyError unless equal)."""
         top = f.graded_component(self.dimension())
         integrands = [lambda moved, chern: (top.evaluate(moved),)] if top else []
@@ -134,37 +138,34 @@ class HomogeneousSpace:
 
 def localize(manifold, integrands, rng=None):
     """Integrals over a G/P or a complete intersection in one, one per
-    integrand of localization_sum, by the draw protocol: the exact sums at
-    two independent integer points.  A localization sum does not depend
-    on the point, so the two must agree; ConsistencyError otherwise."""
+    integrand of localization_sum: the exact sums at two dominant points
+    (module docstring), which must agree; ConsistencyError otherwise.  A
+    second label vector proportional to the first gets its first label
+    raised by 1, and with every label >= 1 is then not proportional in
+    rank >= 2; rank 1 has one ray, and the check compares a sum with itself."""
     if not integrands:
         return []
     space = manifold.ambient
+    rs = space.root_system
     rng = rng if rng is not None else random.Random()
-
-    def point_sum(point):
-        return space.localization_sum(point, integrands, manifold.section)
-
-    first = draw_sum(point_sum, space.ambient_dim, rng)
-    second = draw_sum(point_sum, space.ambient_dim, rng)
+    a, b = ([rng.randint(1, _LABEL_BOUND) for _ in range(rs.rank)]
+            for _ in range(2))
+    if all(x * b[0] == y * a[0] for x, y in zip(a, b)):
+        b[0] += 1
+    first, second = (space.localization_sum(_dominant_point(rs, labels),
+                                            integrands, manifold.section)
+                     for labels in (a, b))
     if first != second:
         raise ConsistencyError(
             f"localization sum not constant between points: {first} != {second}")
     return first
 
 
-def draw_sum(point_sum, n, rng):
-    """point_sum at the first usable random point of n integer
-    coordinates.  A point on a root hyperplane (DegeneratePoint) is
-    redrawn, at most _MAX_DRAWS times."""
-    for _ in range(_MAX_DRAWS):
-        point = tuple(rng.randint(-_POINT_BOUND, _POINT_BOUND)
-                      for _ in range(n))
-        try:
-            return point_sum(point)
-        except DegeneratePoint:
-            continue
-    raise DegeneratePoint(f"no usable point in {_MAX_DRAWS} draws")
+def _dominant_point(root_system, labels):
+    """sum_i labels[i] omega_i times the lcm of its denominators, in ints."""
+    weight = root_system.weight_from_fundamental(labels)
+    scale = lcm(*(c.denominator for c in weight))
+    return tuple(int(c * scale) for c in weight)
 
 
 def homogeneous_space(spec, crossed):

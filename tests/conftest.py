@@ -8,19 +8,6 @@ def rng():
     return random.Random(20260817)
 
 
-class RiggedZeroRng:
-    """Random source whose draws are always zero, so every localization
-    point is degenerate."""
-
-    def randint(self, a, b):
-        return 0
-
-
-@pytest.fixture
-def zero_rng():
-    return RiggedZeroRng()
-
-
 @pytest.fixture
 def drifting_point_sums(monkeypatch):
     """Replace the per-point localization sums by values that change from

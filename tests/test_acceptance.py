@@ -311,10 +311,18 @@ def test_criterion_11_property_suites(capsys):
                 assert g.coefficient(n) == LaurentY()
 
 
-def test_criterion_12_f4_structural_only(capsys):
-    with criterion(capsys, 12, "F4 17-fold elliptic genus is out of scope "
-                   "at desk scale; F4 coverage is structural only: 24 "
-                   "positive roots and Weyl order 1152"):
+def test_criterion_12_f4_roots_and_genus(capsys):
+    with criterion(capsys, 12, "F4: 24 positive roots and Weyl order 1152; "
+                   "the elliptic genus of the 15-fold F4[1] to q^2 has the "
+                   "Bruhat-cell count as its q^0 row and rows summing to "
+                   "24, 0, 0 at y = 1"):
         rs = root_system("F4")
         assert len(rs.positive_roots) == 24
         assert len(weyl_elements(rs)) == 1152
+        genus = elliptic_genus(homogeneous_space("F4", [1]), 2)
+        # h^{p,p} of F4[1], the Schubert cells of dimension p = 0..15
+        cells = (1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1)
+        assert genus.coefficient(0) == LaurentY(dict(enumerate(cells)))
+        # at y = 1 an elliptic genus is the Euler number, |W^P| = 24
+        assert [sum(genus.coefficient(n).c.values()) for n in range(3)] == [
+            24, 0, 0]

@@ -208,12 +208,14 @@ def test_chern_numbers_validation(quintic):
             chern_numbers(quintic, [[3], bad])
 
 
-def test_chern_numbers_degenerate_points_raise(k3, zero_rng):
-    # P3 and the quartic K3 in it: a G/P and a complete intersection
+def test_localization_sum_raises_at_a_degenerate_point(k3):
+    # P3 and the quartic K3 in it, a G/P and a complete intersection, at a
+    # point supplied by the caller on the root hyperplane x0 = x1
     for manifold in (k3.ambient, k3):
-        top = manifold.dimension()
         with pytest.raises(DegeneratePoint):
-            chern_numbers(manifold, [[top], [1] * top], rng=zero_rng)
+            k3.ambient.localization_sum(
+                (1, 1, 0, 0), [lambda moved, chern: (chern[-1],)],
+                manifold.section)
 
 
 def test_disagreeing_points_raise_consistency_error(quintic,

@@ -39,11 +39,11 @@ dimension: 6
 fixed points: 8"""
 
 
-def run(argv, rng=None):
+def run(argv):
     """Invoke the CLI in-process; return (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv, rng=rng)
+        code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -245,14 +245,6 @@ def test_internal_value_error_in_parabolic_is_not_a_malformed_space(
     monkeypatch.setattr(RootSystem, "_build_roots", broken)
     with pytest.raises(ValueError, match="internal fault"):
         run(["chi-y", "--space", "A4[1]"])
-
-
-def test_degenerate_sampling_exits_4(zero_rng):
-    argv = ["chern", "--space", "A4[3]", "--degrees", "1,1,1,1,1,1"]
-    code, out, err = run(argv, rng=zero_rng)
-    assert code == 4
-    assert out == ""
-    assert "integration failed" in err
 
 
 def test_euler_number_of_e8_8_is_240():

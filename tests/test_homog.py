@@ -7,7 +7,7 @@ import pytest
 
 from ellgenus.cohomology import CohomologyClass
 from ellgenus.errors import DegeneratePoint
-from ellgenus.homog import HomogeneousSpace, homogeneous_space
+from ellgenus.homog import HomogeneousSpace, homogeneous_space, localize
 from ellgenus.roots import Weight, WeylElement, parabolic
 
 GR35_C2 = ("x0^2 + 4*x0*x1 + x1^2 + 4*x0*x2 + 4*x1*x2 + x2^2 - 5*x0*x3 "
@@ -115,11 +115,61 @@ def test_integration_is_rng_independent():
     assert v1 == v2 == 78125
 
 
-def test_degenerate_points_raise(zero_rng):
-    space = homogeneous_space("A2", [1])
-    c = space.chern_classes()
+def _euler(moved, chern):
+    return (chern[-1],)
+
+
+def test_degenerate_points_raise():
+    # only a point supplied by the caller can lie on a root hyperplane,
+    # here x0 = x1 on P3, where the tangent root x0 - x1 of the first
+    # fixed point vanishes
     with pytest.raises(DegeneratePoint):
-        space.integrate(c[2], rng=zero_rng)
+        proj(3).localization_sum((1, 1, 0, 0), [_euler])
+
+
+class ConstantRng:
+    """Random source whose randint always returns the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randint(self, a, b):
+        return self.value
+
+
+ONE_PER_TYPE = [("A1", [1]), ("A4", [2]), ("B3", [1]), ("C3", [1]),
+                ("D4", [1]), ("G2", [1]), ("F4", [1]), ("E6", [1]),
+                ("E7", [7]), ("E8", [8])]
+
+
+@pytest.mark.parametrize("spec,crossed", ONE_PER_TYPE,
+                         ids=[f"{spec}{crossed}" for spec, crossed in ONE_PER_TYPE])
+def test_localize_draws_two_dominant_points(spec, crossed, monkeypatch):
+    space = homogeneous_space(spec, crossed)
+    rs = space.root_system
+    points = []
+
+    def record(self, point, integrands, section=()):
+        points.append(point)
+        return [0] * len(integrands)
+
+    monkeypatch.setattr(HomogeneousSpace, "localization_sum", record)
+    for rng in ([random.Random(seed) for seed in range(10)]
+                + [ConstantRng(1), ConstantRng(20)]):
+        points.clear()
+        assert localize(space, [_euler, _euler], rng) == [0, 0]
+        # one sum per point, whatever the number of integrands
+        assert len(points) == 2
+        # in the open dominant chamber: off every root hyperplane, at
+        # every fixed point, since W permutes the roots
+        assert all(sum(a * x for a, x in zip(alpha.coords, p)) > 0
+                   for p in points for alpha in rs.positive_roots)
+        # rank 1 has one ray; above it the two points are never
+        # proportional, so the two-point check compares distinct sums
+        first, second = points
+        proportional = all(first[i] * second[j] == first[j] * second[i]
+                           for i in range(len(first)) for j in range(i))
+        assert proportional == (rs.rank == 1)
 
 
 def test_evaluate_is_exact_at_integer_points():
