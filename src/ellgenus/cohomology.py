@@ -3,9 +3,7 @@
 Cohomology classes of a homogeneous space are represented by polynomial
 lifts in the Chern roots of the ambient torus; they are never reduced
 modulo relations, since every computation ends in evaluation at explicit
-points.  Coefficients are exact rationals.  The same type serves the
-symmetric-function bookkeeping of genus: a polynomial in the elementary
-symmetric functions e_1..e_d is a class in d variables.
+points.  Coefficients are exact rationals.
 """
 
 from __future__ import annotations

@@ -27,12 +27,12 @@ class InvalidInput(EllgenusError, ValueError):
     (exit code 2, as a malformed space), a negative symmetric power, a
     Jacobi basis monomial whose weight or double index is wrong, a
     universal elliptic genus of dimension below 1 or of negative q-order,
-    a Chern monomial with the wrong number of exponents, a power sum
-    index outside 1..dim, a q-series of negative precision or with a
-    negative or odd doubled q-exponent, a y-scale of 0, an Eisenstein
-    series of weight other than 4 or 6, classes of different ambient
-    dimensions, an evaluation point of the wrong dimension, a negative
-    power, or the logarithm of a series whose constant term is not 1."""
+    a Chern monomial with the wrong number of exponents, a q-series of
+    negative precision or with a negative or odd doubled q-exponent, a
+    y-scale of 0, an Eisenstein series of weight other than 4 or 6,
+    classes of different ambient dimensions, an evaluation point of the
+    wrong dimension, a negative power, or the logarithm of a series whose
+    constant term is not 1."""
 
 
 class OddWeight(EllgenusError):
@@ -55,10 +55,12 @@ class DegeneratePoint(EllgenusError):
 class ConsistencyError(EllgenusError):
     """A built-in self-check failed: the exact localization sum differed
     between two independent evaluation points, a Cartan matrix entry was
-    not an integer, a Freudenthal multiplicity was not a positive integer,
-    a Weyl dimension was not an integer, or the low q-rows of a Calabi-Yau
-    genus were outside the span of the weak Jacobi basis or not
-    reproduced by their expansion in it."""
+    not an integer, the positive roots did not give an invariant form, a
+    Freudenthal multiplicity was not a positive integer, a Weyl dimension
+    was not an integer, the universal elliptic genus was not c_d at y = 1
+    or not Serre symmetric, or the low q-rows of a Calabi-Yau genus were
+    outside the span of the weak Jacobi basis or not reproduced by their
+    expansion in it."""
 
 
 class TooLarge(EllgenusError):

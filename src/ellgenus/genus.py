@@ -64,6 +64,9 @@ nor does any partial product, power or factor of g, each part of some
 partition's product whose other factors have norms >= 1; B - 1 bits hold
 it.  As a check, G(x) = x at y = 1, so every q-row of every monomial's
 numerator sums to 0 over y, but the q^0 row of c_d, which sums to D.
+As a second check, G with y -> 1/y at -x is -G(x)/y, so every q-row is
+symmetric, cell (q, y) = cell (q, d - y); it sees an overflow whose
+carries cancel within a row.
 
 A Calabi-Yau d-fold takes a shorter path.  Its elliptic genus is a weak
 Jacobi form of weight 0 and index d/2 (Kawai-Yamada-Yang 1994,
@@ -89,7 +92,6 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 
 from .ci import chern_number, chern_numbers
-from .cohomology import CohomologyClass
 from .errors import ConsistencyError, InvalidInput, PrecisionZero, TooLarge
 from .jacobi import shifted_basis, solve
 from .qseries import PackedLayout, QYSeries
@@ -194,15 +196,6 @@ def _power_sums(dim):
     return p
 
 
-def power_sum_in_elementary(m, dim):
-    """p_m as a CohomologyClass in dim variables, variable i-1 standing for
-    e_i (_power_sums)."""
-    if not 1 <= m <= dim:
-        raise InvalidInput("power sum index out of range")
-    return CohomologyClass(dim, {_decoded(code, dim, dim + 1): _F(v)
-                                 for code, v in _power_sums(dim)[m].items()})
-
-
 def _decoded(code, dim, radix):
     """The exponent tuple of length dim encoded as code in radix."""
     exponents = []
@@ -303,7 +296,8 @@ def elliptic_genus_chernnum(dim, k):
     """Universal elliptic genus of a dim-fold to q-order k, as Chern
     monomials; multiplied by y^{dim/2} so y-exponents are integers.
     TooLarge, before any work, past MAX_CHERN_MONOMIALS monomials;
-    ConsistencyError when the result at y = 1 is not c_dim."""
+    ConsistencyError when the result at y = 1 is not c_dim or a q-row is
+    not symmetric under y -> dim - y."""
     if dim < 1:
         raise InvalidInput("dimension must be at least 1")
     if k < 0:
@@ -350,16 +344,21 @@ def elliptic_genus_chernnum(dim, k):
 
     walk(dim, dim, 1, 1, {0: 1})
     # G(x) = x at y = 1: every q-row of every numerator sums to 0 over y,
-    # but the q^0 row of c_dim, which sums to den
+    # but the q^0 row of c_dim, which sums to den; and every row is Serre
+    # symmetric, cell (q, y) = cell (q, dim - y)
     radix = dim + 1  # no exponent of a weighted-degree-dim monomial exceeds dim
-    largest = 0
+    largest, symmetric = 0, True
     for code, x in sums.items():
         rows = [0] * (k + 1)
-        for (q, _), v in layout.cells(x):
+        cells = dict(layout.cells(x))
+        for (q, y), v in cells.items():
             rows[q] += v
             largest = max(largest, abs(v))
+            symmetric = symmetric and cells.get((q, dim - y)) == v
         if rows != [den if code == radix ** (dim - 1) else 0] + [0] * k:
             raise ConsistencyError("the universal elliptic genus is not c_d at y = 1")
+    if not symmetric:
+        raise ConsistencyError("the universal elliptic genus is not Serre symmetric")
     return ChernSymbolSeries(dim, k, layout, den, {
         _decoded(code, dim, radix): x for code, x in sums.items()}, largest)
 

@@ -14,21 +14,24 @@ multiply entries of c(TX); integrate(f) evaluates f at D A_w p.
 
 The sum is a constant function of the point, so localize, the one draw
 protocol, evaluates it exactly at two points that must agree; no rational
-function is simplified symbolically.  Each point is p = sum_i c_i omega_i
-with random integer labels c_i in [1, _LABEL_BOUND], times the lcm of its
-denominators (every top-degree sum is homogeneous of degree 0 in p, so
-that scale and D cancel).  It lies in the open dominant chamber, so
-<beta, w p> != 0 for every root beta and Weyl element w (Humphreys,
-Reflection Groups and Coxeter Groups, 1.12): no tangent root vanishes at a
-fixed point, and no point is redrawn.  A section root may vanish; that
-only zeroes e(E), as c(TX) = c(TM)/c(E) divides by c_0(E) = 1.
+function is simplified symbolically.  Each point is p = sum_i c_i v_i
+with random integer labels c_i in [1, _LABEL_BOUND], built in integers by
+RootSystem.dominant_point from the multiples v_i = s_i omega_i of the
+fundamental weights that the positive roots give with no matrix inverse,
+and divided by the gcd of its coordinates (every top-degree sum is
+homogeneous of degree 0 in p, so that scale and D cancel).  It lies in
+the open dominant chamber, so <beta, w p> != 0 for every root beta and
+Weyl element w (Humphreys, Reflection Groups and Coxeter Groups, 1.12):
+no tangent root vanishes at a fixed point, and no point is redrawn.  A
+section root may vanish; that only zeroes e(E), as c(TX) = c(TM)/c(E)
+divides by c_0(E) = 1.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from . import bundles
 from .errors import ConsistencyError, DegeneratePoint
@@ -138,8 +141,9 @@ class HomogeneousSpace:
 
 def localize(manifold, integrands, rng=None):
     """Integrals over a G/P or a complete intersection in one, one per
-    integrand of localization_sum: the exact sums at two dominant points
-    (module docstring), which must agree; ConsistencyError otherwise.  A
+    integrand of localization_sum: the exact sums at the two dominant
+    points RootSystem.dominant_point builds from random labels (module
+    docstring), which must agree; ConsistencyError otherwise.  A
     second label vector proportional to the first gets its first label
     raised by 1, and with every label >= 1 is then not proportional in
     rank >= 2; rank 1 has one ray, and the check compares a sum with itself."""
@@ -152,20 +156,13 @@ def localize(manifold, integrands, rng=None):
             for _ in range(2))
     if all(x * b[0] == y * a[0] for x, y in zip(a, b)):
         b[0] += 1
-    first, second = (space.localization_sum(_dominant_point(rs, labels),
+    first, second = (space.localization_sum(rs.dominant_point(labels),
                                             integrands, manifold.section)
                      for labels in (a, b))
     if first != second:
         raise ConsistencyError(
             f"localization sum not constant between points: {first} != {second}")
     return first
-
-
-def _dominant_point(root_system, labels):
-    """sum_i labels[i] omega_i times the lcm of its denominators, in ints."""
-    weight = root_system.weight_from_fundamental(labels)
-    scale = lcm(*(c.denominator for c in weight))
-    return tuple(int(c * scale) for c in weight)
 
 
 def homogeneous_space(spec, crossed):

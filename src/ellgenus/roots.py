@@ -18,9 +18,11 @@ integers: every Weyl matrix of a type has entries k/D with |k| <= D for
 one denominator D (1 for A-D, 2 for F4, 3 for G2, 4 for E6-E8), so a
 WeylElement holds only the integer matrix D M with its D.  Localization
 reads D M as it is; the Fraction matrix M is built only when asked for.
-Cartan matrix and coroots come from the simple roots as integer vectors;
-the fundamental weights and the Levi Gram inverse, which only
-Freudenthal's recursion and the bundles read, are built on first use.
+Cartan matrix and coroots come from the simple roots as integer vectors.
+No matrix is inverted: on first use, the form S = sum_{beta > 0} c c^T
+over the coefficient tuples gives v_i = sum_j S[i][j] alpha_j = s_i omega_i
+in integers, which yields the fundamental weights, the evaluation points
+of localization and the Levi root-order test of Freudenthal's recursion.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from math import gcd, lcm, prod
 
 from .errors import ConsistencyError, InvalidInput, NotPDominant, TooLarge, UnknownType
 from .render import format_dynkin
-from .taylor import _row_reduce
 
 _F = Fraction
 MAX_FIXED_POINTS = 10 ** 5
@@ -106,17 +107,6 @@ class Weight:
 
     def __repr__(self):
         return f"Weight{self}"
-
-
-def _inverse(mat):
-    """Exact inverse of a square matrix by Gauss-Jordan; ConsistencyError
-    when it is singular."""
-    n = len(mat)
-    aug = [[_F(v) for v in row] + [_F(1) if i == j else _F(0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    if len(_row_reduce(aug, n)) < n:
-        raise ConsistencyError(f"singular {n}x{n} matrix")
-    return [row[n:] for row in aug]
 
 
 def _matvec(mat, vec):
@@ -305,10 +295,9 @@ class RootSystem:
                         found.add(img)
                         nxt.append(img)
             frontier = nxt
-        columns = list(zip(*scaled))
+        self._scale, self._columns = scale, list(zip(*scaled))
         self._coefficients = sorted(found, key=lambda c: (sum(c), tuple(-x for x in c)))
-        self.positive_roots = [Weight([_F(sum(x * s for x, s in zip(c, col)), scale)
-                                       for col in columns])
+        self.positive_roots = [Weight(_F(v, scale) for v in _matvec(self._columns, c))
                                for c in self._coefficients]
 
     @cached_property
@@ -320,21 +309,41 @@ class RootSystem:
         return self._root_coefficients[root]
 
     @cached_property
+    def _dual_basis(self):
+        """Integer vectors V_i = scale v_i and integers s_i > 0 with
+        <v_i, alpha_k-check> = s_i delta_ik, so v_i = s_i omega_i.  On an
+        irreducible root system sum_{beta > 0} (beta, x)(beta, y) is a
+        multiple of the inner product (Bourbaki, Lie Groups and Lie Algebras,
+        VI), on the fundamental coweights S[i][j] = sum_beta c_i c_j; so
+        v_i = sum_j S[i][j] alpha_j, and s_i = sum_j S[i][j] a[i][j] is the
+        dual Coxeter number times |long root|^2 / |alpha_i|^2.
+        ConsistencyError when they do not pair so."""
+        coeffs = list(zip(*self._coefficients))
+        form = [_matvec(coeffs, row) for row in coeffs]
+        pairs = [_matvec(self._cartan, row) for row in form]
+        scales = [row[i] for i, row in enumerate(pairs)]
+        if min(scales) <= 0 or pairs != [tuple(s * (i == k) for k in range(self.rank))
+                                         for i, s in enumerate(scales)]:
+            raise ConsistencyError(f"the positive roots of {self.type_name} do not "
+                                   "give an invariant form")
+        return [_matvec(self._columns, row) for row in form], scales
+
+    def dominant_point(self, labels):
+        """sum_i labels[i] v_i (_dual_basis) in integers over the gcd of its
+        coordinates: with every label positive, a point of the open
+        dominant chamber."""
+        point = _matvec(zip(*self._dual_basis[0]), labels)
+        g = gcd(*point)
+        return tuple(x // g for x in point)
+
+    @cached_property
     def fundamental_weights(self):
         if self.letter == "A":
             dim = self.rank + 1
             return [Weight([1 if j <= i else 0 for j in range(dim)])
                     for i in range(self.rank)]
-        # unique solution inside the span of the simple roots
-        inv = _inverse(self._cartan)
-        fw = []
-        for i in range(self.rank):
-            coeffs = [inv[j][i] for j in range(self.rank)]
-            w = Weight([0] * self.ambient_dim)
-            for c, a in zip(coeffs, self.simple_roots):
-                w = w + a * c
-            fw.append(w)
-        return fw
+        return [Weight([_F(x, self._scale * s) for x in v])
+                for v, s in zip(*self._dual_basis)]
 
     def cartan_matrix(self):
         """Entries a[i][j] = <alpha_j, alpha_i-check>."""
@@ -499,26 +508,15 @@ class ParabolicSubgroup:
                     break
         return v
 
-    @cached_property
-    def _levi_gram_inv(self):
-        return _inverse([[a.dot(b) for b in self.levi_simple_roots]
-                         for a in self.levi_simple_roots])
-
-    def _expand_in_levi(self, v):
-        dots = [v.dot(a) for a in self.levi_simple_roots]
-        return _matvec(self._levi_gram_inv, dots)
-
     def _is_weight_of(self, lam, nu):
         """Whether nu can occur in the Levi module with highest weight lam:
-        its dominant representative must sit under lam in the root order."""
+        its dominant representative must sit under lam in the root order.
+        Both differ from lam by integer sums of Levi simple roots, and the
+        coefficient of alpha_j has the sign of the product with v_j
+        (RootSystem._dual_basis)."""
         diff = lam - self._levi_dominant(nu)
-        coeffs = self._expand_in_levi(diff)
-        if any(c.denominator != 1 or c < 0 for c in coeffs):
-            return False
-        rebuilt = Weight([0] * self.root_system.ambient_dim)
-        for c, a in zip(coeffs, self.levi_simple_roots):
-            rebuilt = rebuilt + a * c
-        return rebuilt == diff
+        vectors, _ = self.root_system._dual_basis
+        return min(_matvec((vectors[j - 1] for j in self.levi_nodes), diff)) >= 0
 
     def weight_multiplicities(self, coefficients):
         """Weights of the irreducible Levi module with the given highest

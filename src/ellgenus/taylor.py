@@ -8,7 +8,7 @@ of a list of roots (Chern classes, as classes or as numbers at a fixed
 point) and graded division (adjunction c(TX) = c(TM)/c(E), and the Todd
 and log-Todd series).  It also holds the one square-and-multiply loop
 behind the powers of Laurent polynomials, q-series and classes, and the
-one Gauss-Jordan loop behind exact matrix inverses and Jacobi fits.  This
+Gauss-Jordan loop behind Jacobi fits (jacobi.solve).  This
 module imports nothing from the package but its errors, so every layer
 can use it.
 """

@@ -18,10 +18,9 @@ from ellgenus import genus as genus_module
 from ellgenus import qseries
 from ellgenus.errors import ConsistencyError, InvalidInput, PrecisionZero, TooLarge
 from ellgenus.genus import (MAX_CHERN_MONOMIALS, MAX_LOCALIZATION_TERMS,
-                            ChernSymbolSeries,
-                            _partition_count, _partitions, chi_y,
-                            elliptic_genus, elliptic_genus_chernnum,
-                            power_sum_in_elementary)
+                            ChernSymbolSeries, _decoded,
+                            _partition_count, _partitions, _power_sums, chi_y,
+                            elliptic_genus, elliptic_genus_chernnum)
 from ellgenus.homog import homogeneous_space
 from ellgenus.jacobi import linear_fit, shifted_basis, solve
 from ellgenus.qseries import LaurentY, PackedLayout, QYSeries
@@ -226,8 +225,7 @@ def test_packed_width_covers_every_intermediate(monkeypatch):
     # the bound fixes the width before any packing; rerun with 64 spare
     # bits, so nothing can overflow, and record every product and sum
     for m in range(1, 9):
-        assert sum(map(abs, power_sum_in_elementary(m, 8).c.values())) \
-            == 2 ** m - 1
+        assert sum(map(abs, _power_sums(8)[m].values())) == 2 ** m - 1
     real_bits, real_mul = qseries._bits_for, PackedLayout.mul
     largest = []
 
@@ -264,6 +262,20 @@ def test_overflowing_width_fails_the_check_at_y_equal_1(monkeypatch):
         elliptic_genus_chernnum.cache_clear()
 
 
+def test_overflow_that_passes_y_equal_1_fails_serre_symmetry(monkeypatch):
+    # three bytes short, the (5, 2) sums wrap around with carries that
+    # cancel within each q-row, so the y = 1 check alone passes them;
+    # the wrapped rows are not symmetric under y -> 5 - y
+    real_bits = qseries._bits_for
+    monkeypatch.setattr(qseries, "_bits_for", lambda b: real_bits(b) - 24)
+    elliptic_genus_chernnum.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="Serre symmetric"):
+            elliptic_genus_chernnum(5, 2)
+    finally:
+        elliptic_genus_chernnum.cache_clear()
+
+
 def test_chernnum_validation():
     with pytest.raises(InvalidInput):
         elliptic_genus_chernnum(0, 1)
@@ -271,9 +283,6 @@ def test_chernnum_validation():
         elliptic_genus_chernnum(2, -1)
     with pytest.raises(InvalidInput):
         elliptic_genus_chernnum(2, 1).coefficient(0, (2, 0, 0))
-    for m in (0, 3):
-        with pytest.raises(InvalidInput):
-            power_sum_in_elementary(m, 2)
 
 
 def test_substitute_matches_direct_genus():
@@ -660,10 +669,10 @@ def test_power_sums_in_elementary_evaluates_on_roots(roots, m):
     for x in roots:
         for i in range(dim, 0, -1):
             e[i] = e[i] + x * e[i - 1]
-    poly = power_sum_in_elementary(m, dim)
     value = Fraction(0)
-    for exps, coeff in poly.c.items():
-        term = coeff
+    for code, coeff in _power_sums(dim)[m].items():
+        exps = _decoded(code, dim, dim + 1)
+        term = Fraction(coeff)
         for i, a in enumerate(exps):
             term *= e[i + 1] ** a
         value += term

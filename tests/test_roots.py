@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -444,12 +445,6 @@ def test_weyl_orbit_matches_reflection_bfs():
         assert weyl_orbit(rs, weight) == order
 
 
-def test_inverse_of_a_singular_matrix_is_a_consistency_error():
-    assert roots._inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
-    with pytest.raises(ConsistencyError, match="singular"):
-        roots._inverse([[1, 2], [2, 4]])
-
-
 @pytest.mark.parametrize("spec,order", [("E7", 2903040), ("E8", 696729600)])
 def test_weyl_elements_of_e7_and_e8_refused_before_walking(spec, order, no_walk):
     with pytest.raises(TooLarge, match=str(order)):
@@ -471,6 +466,37 @@ def test_integer_root_build_matches_ambient_closure(spec):
         [coeffs[r] for r in positive]
     assert rs.cartan_matrix() == _reference_cartan(rs)
     assert rs.fundamental_weights == _reference_fundamental_weights(rs)
+
+
+DUAL_COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n + 1,
+                "D": lambda n: 2 * n - 2, "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
+                "F": lambda n: 9, "G": lambda n: 4}
+
+
+@pytest.mark.parametrize("spec", SUPPORTED_TYPES)
+def test_invariant_form_scales_are_dual_coxeter_numbers(spec):
+    # v_i = s_i omega_i with s_i = h-check |long root|^2 / |alpha_i|^2
+    rs = root_system(spec)
+    long_norm = max(a.norm2() for a in rs.simple_roots)
+    _, scales = rs._dual_basis
+    assert scales == [DUAL_COXETER[rs.letter](rs.rank) * long_norm / a.norm2()
+                      for a in rs.simple_roots]
+    # the evaluation point is sum_i c_i v_i, a positive multiple of
+    # sum_i c_i s_i omega_i in primitive integer coordinates
+    labels = range(1, rs.rank + 1)
+    point = rs.dominant_point(labels)
+    assert all(isinstance(x, int) for x in point) and gcd(*point) == 1
+    pairs = rs.fundamental_coordinates(Weight(point))
+    t = pairs[0] / scales[0]
+    assert t > 0 and pairs == tuple(c * s * t for c, s in zip(labels, scales))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C4", "D4", "G2", "F4", "E6"])
+def test_dropped_positive_root_breaks_the_invariant_form(spec):
+    rs = root_system(spec)
+    rs._coefficients = rs._coefficients[:-1]
+    with pytest.raises(ConsistencyError, match="invariant form"):
+        rs.dominant_point([1] * rs.rank)
 
 
 @pytest.mark.parametrize("spec,crossed", [
@@ -548,6 +574,12 @@ def test_root_checks_survive_optimized_python():
                 check((0, 1))
             except ConsistencyError:
                 print("ConsistencyError")
+        rs = roots.root_system("B3")
+        rs._coefficients = rs._coefficients[:-1]
+        try:
+            rs.dominant_point([1, 1, 1])
+        except ConsistencyError:
+            print("ConsistencyError")
         roots._simple_root_coords = lambda letter, rank: [[1, 0], [1, 2]]
         try:
             roots.root_system("G2")
@@ -560,4 +592,4 @@ def test_root_checks_survive_optimized_python():
                             capture_output=True, text=True, env=env,
                             timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["ConsistencyError"] * 3
+    assert result.stdout.split() == ["ConsistencyError"] * 4
