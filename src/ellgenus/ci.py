@@ -11,6 +11,10 @@ fixed point; no polynomial product with the Euler class is built.
 
 chern_numbers passes one integrand per monomial prod_j c_{d_j}(TX), so
 one pass over the fixed points per evaluation point serves all of them.
+Each manifold keeps the Chern numbers it has integrated, keyed by the
+sorted degrees, so a genus, its Euler number and its chi_y genus asked of
+one manifold localize each monomial once; the table dies with the
+manifold.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ class CompleteIntersection:
         self._dim = dim
         self._chern = None
         self._todd = None
+        self._chern_numbers = {}
 
     def __repr__(self):
         return (f"CompleteIntersection(dim={self._dim}, "
@@ -84,18 +89,24 @@ def chern_numbers(manifold, degree_lists, rng=None):
     """Chern numbers int prod_j c_{d_j} over the manifold, one per list of
     degrees d_j, from a single localization pass over the fixed points per
     evaluation point (two agreeing integer points).  Lists whose degrees
-    do not sum to the dimension give 0 without integrating."""
+    do not sum to the dimension give 0 without integrating.  Only the
+    monomials not yet in the manifold's table (_chern_numbers, keyed by
+    the sorted degrees) are localized, each once, and they enter the
+    table only after the two points have agreed."""
     dim = manifold.dimension()
     lists = [[int(k) for k in degrees] for degrees in degree_lists]
     for degrees in lists:
         for k in degrees:
             if not 1 <= k <= dim:
                 raise InvalidInput(f"chern class degree {k} outside 1..{dim}")
-    wanted = [degrees for degrees in lists if sum(degrees) == dim]
-    integrands = [lambda moved, chern, degrees=degrees:
-                  (chern[k] for k in degrees) for degrees in wanted]
-    values = iter(localize(manifold, integrands, rng))
-    return [next(values) if sum(degrees) == dim else _F(0) for degrees in lists]
+    known = manifold._chern_numbers
+    keys = [tuple(sorted(degrees)) for degrees in lists]
+    missing = list(dict.fromkeys(key for key in keys
+                                 if sum(key) == dim and key not in known))
+    integrands = [lambda moved, chern, key=key: (chern[k] for k in key)
+                  for key in missing]
+    known.update(zip(missing, localize(manifold, integrands, rng)))
+    return [known[key] if sum(key) == dim else _F(0) for key in keys]
 
 
 def chern_number(manifold, degrees, rng=None):

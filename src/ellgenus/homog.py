@@ -52,6 +52,7 @@ class HomogeneousSpace:
         self.tangent_weights = list(parabolic.nilradical_roots)
         self._chern = None
         self._todd = None
+        self._chern_numbers = {}  # ci.chern_numbers' table, by sorted degrees
 
     def __repr__(self):
         return (f"HomogeneousSpace({self.root_system.type_name}, "

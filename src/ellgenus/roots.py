@@ -331,8 +331,15 @@ class RootSystem:
     def dominant_point(self, labels):
         """sum_i labels[i] v_i (_dual_basis) in integers over the gcd of its
         coordinates: with every label positive, a point of the open
-        dominant chamber."""
+        dominant chamber.  On A_n, v_i = (n+1) omega_i - i (1, ..., 1)
+        lies in the sum-zero hyperplane; the central part
+        sum_i i labels[i] (1, ..., 1) is added back, which moves no root
+        pairing, so that the point is sum_i labels[i] (n+1) omega_i and the
+        gcd keeps its coordinates small."""
         point = _matvec(zip(*self._dual_basis[0]), labels)
+        if self.letter == "A":
+            central = sum(i * c for i, c in enumerate(labels, 1))
+            point = [x + central for x in point]
         g = gcd(*point)
         return tuple(x // g for x in point)
 
@@ -524,10 +531,13 @@ class ParabolicSubgroup:
         ambient group), with multiplicities by Freudenthal's recursion.
 
         Crossed-node coefficients may be negative; uncrossed ones must be
-        nonnegative or NotPDominant is raised.
+        nonnegative or NotPDominant is raised.  A highest weight that
+        pairs to 0 with every Levi simple coroot is a character of P: its
+        Levi module is one-dimensional, with weights {lam: 1}, and no
+        recursion runs.  Every line bundle is of this kind.
         """
         lam, rho = self._highest_weight(coefficients)
-        if not self.levi_simple_roots:
+        if rho is None:
             return {lam: 1}
         levels = [[lam]]
         seen = {lam}
@@ -565,6 +575,8 @@ class ParabolicSubgroup:
         """Dimension of the same Levi module by the Weyl formula, an
         independent cross-check of the multiplicity recursion."""
         lam, rho = self._highest_weight(coefficients)
+        if rho is None:
+            return 1
         dim = _F(1)
         for r in self.levi_positive_roots:
             dim *= (lam + rho).dot(r) / rho.dot(r)
@@ -576,12 +588,17 @@ class ParabolicSubgroup:
         """The ambient highest weight with the given integer coefficients over
         the fundamental weights, and the Levi rho (half the sum of the Levi
         positive roots); NotPDominant when it pairs negatively with an
-        uncrossed simple coroot."""
+        uncrossed simple coroot.  rho is None, and not built, when every
+        such pairing is 0: lam is then a character of P, whose Weyl
+        dimension prod_alpha (lam + rho, alpha)/(rho, alpha) is 1."""
         rs = self.root_system
         lam = rs.weight_from_fundamental([int(c) for c in coefficients])
-        for node, a in zip(self.levi_nodes, self.levi_simple_roots):
-            if lam.pair(a) < 0:
+        labels = [lam.pair(a) for a in self.levi_simple_roots]
+        for node, label in zip(self.levi_nodes, labels):
+            if label < 0:
                 raise NotPDominant(f"negative pairing with uncrossed node {node}")
+        if not any(labels):
+            return lam, None
         rho = Weight([0] * rs.ambient_dim)
         for r in self.levi_positive_roots:
             rho = rho + r * _F(1, 2)

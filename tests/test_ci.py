@@ -218,12 +218,89 @@ def test_localization_sum_raises_at_a_degenerate_point(k3):
                 manifold.section)
 
 
-def test_disagreeing_points_raise_consistency_error(quintic,
-                                                    drifting_point_sums):
+def test_disagreeing_points_raise_consistency_error(drifting_point_sums):
+    # a fresh quintic: the module's one has its Chern numbers stored
+    quintic = _ci("A4", [1], [(5, 0, 0, 0)])
     with pytest.raises(ConsistencyError):
         chern_numbers(quintic, [[3], [1, 2]])
     with pytest.raises(ConsistencyError):
         chern_number(homogeneous_space("A2", [1]), [2])
+
+
+def _counted_sums(monkeypatch):
+    """Wrap localization_sum; returns the number of integrands of each
+    call, in call order."""
+    original = HomogeneousSpace.localization_sum
+    calls = []
+
+    def counted(self, point, integrands, section=()):
+        calls.append(len(integrands))
+        return original(self, point, integrands, section)
+
+    monkeypatch.setattr(HomogeneousSpace, "localization_sum", counted)
+    return calls
+
+
+def test_chern_numbers_are_localized_once_per_manifold(monkeypatch):
+    calls = _counted_sums(monkeypatch)
+    quintic = _ci("A4", [1], [(5, 0, 0, 0)])
+    genus = ellgenus.elliptic_genus(quintic, 5)
+    assert chern_number(quintic, [3]) == -200
+    assert ellgenus.chi_y(quintic) == genus.coefficient(0)
+    # the genus's one localization, at two points, served all three
+    assert len(calls) == 2 and calls[0] == calls[1]
+    # a repeated monomial, in either order, is integrated once
+    calls.clear()
+    quintic = _ci("A4", [1], [(5, 0, 0, 0)])
+    assert chern_numbers(quintic, [[1, 2], [2, 1]]) == [0, 0]
+    assert calls == [1, 1]
+    assert chern_numbers(quintic, [[2, 1], [3]]) == [0, -200]
+    assert calls == [1, 1, 1, 1]
+    # G/P keeps its own table
+    p2 = homogeneous_space("A2", [1])
+    assert chern_numbers(p2, [[2], [1, 1]]) == [3, 9]
+    assert chern_number(p2, [1, 1]) == 9
+    assert calls == [1, 1, 1, 1, 2, 2]
+
+
+def test_failed_check_stores_no_chern_number(drifting_point_sums):
+    quintic = _ci("A4", [1], [(5, 0, 0, 0)])
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            chern_numbers(quintic, [[3], [1, 2]])
+    assert drifting_point_sums == [2, 2, 2, 2] and quintic._chern_numbers == {}
+
+
+def test_failed_check_stores_nothing_under_optimized_python():
+    script = textwrap.dedent("""
+        from ellgenus import HomogeneousSpace, ci, homogeneous_space
+        from ellgenus.errors import ConsistencyError
+
+        assert False, "assert statements are still active"
+        original = HomogeneousSpace.localization_sum
+        calls = []
+
+        def drifting(self, point, integrands, section=()):
+            calls.append(len(integrands))
+            return [t + len(calls)
+                    for t in original(self, point, integrands, section)]
+
+        HomogeneousSpace.localization_sum = drifting
+        p2 = homogeneous_space("A2", [1])
+        for _ in range(2):
+            try:
+                ci.chern_number(p2, [2])
+            except ConsistencyError:
+                print("ConsistencyError")
+        print(len(calls))
+    """)
+    src = str(Path(ellgenus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["ConsistencyError"] * 2 + ["4"]
 
 
 def test_polynomial_integration_checks_its_two_points(monkeypatch):

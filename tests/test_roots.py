@@ -1,6 +1,7 @@
 """Root systems, Weyl groups and parabolic subgroups."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -497,6 +498,52 @@ def test_dropped_positive_root_breaks_the_invariant_form(spec):
     rs._coefficients = rs._coefficients[:-1]
     with pytest.raises(ConsistencyError, match="invariant form"):
         rs.dominant_point([1] * rs.rank)
+
+
+def test_type_a_point_is_a_multiple_of_fundamental_weights():
+    # the central part of sum_i c_i (n+1) omega_i is kept, so the gcd
+    # divides the (n+1) out whenever it can
+    rng = random.Random(7)
+    for n in range(1, 9):
+        rs = root_system(f"A{n}")
+        for _ in range(20):
+            labels = [rng.randint(1, 20) for _ in range(n)]
+            full = [(n + 1) * sum(labels[i:]) for i in range(n)] + [0]
+            g = gcd(*full)
+            assert rs.dominant_point(labels) == tuple(x // g for x in full)
+
+
+@pytest.mark.parametrize("spec", [s for s in SUPPORTED_TYPES if int(s[1:]) <= 6])
+def test_characters_of_p_are_their_own_weights(spec):
+    # a combination of crossed fundamental weights pairs to 0 with every
+    # Levi simple coroot, so its Levi module is the line {lam: 1}
+    rank = root_system(spec).rank
+    for crossed in {(1,), (rank,), (1, rank), tuple(range(1, rank + 1))}:
+        _check_characters(parabolic(spec, crossed))
+
+
+def _check_characters(p):
+    rank = p.root_system.rank
+    rho = Weight([0] * p.root_system.ambient_dim)
+    for r in p.levi_positive_roots:
+        rho = rho + r * Fraction(1, 2)
+    rng = random.Random(repr(p))
+    for _ in range(15):
+        hw = [rng.randint(-3, 3) if i in p.crossed else 0 for i in range(1, rank + 1)]
+        lam = p.root_system.weight_from_fundamental(hw)
+        assert p.weight_multiplicities(hw) == {lam: 1}
+        assert p.weyl_dimension(hw) == 1
+        weyl = Fraction(1)
+        for r in p.levi_positive_roots:
+            weyl *= (lam + rho).dot(r) / rho.dot(r)
+        assert weyl == 1
+        for node in p.levi_nodes:
+            negative = list(hw)
+            negative[node - 1] = -1
+            with pytest.raises(NotPDominant):
+                p.weight_multiplicities(negative)
+            with pytest.raises(NotPDominant):
+                p.weyl_dimension(negative)
 
 
 @pytest.mark.parametrize("spec,crossed", [
