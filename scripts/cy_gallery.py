@@ -6,7 +6,6 @@ Usage: python scripts/cy_gallery.py [--order N]
 """
 
 import argparse
-from dataclasses import dataclass, field
 
 from ellgenus.bundles import completely_reducible_bundle
 from ellgenus.ci import CompleteIntersection, chern_number
@@ -15,29 +14,20 @@ from ellgenus.homog import homogeneous_space
 from ellgenus.jacobi import basis_half_integral, linear_fit, shifted_basis
 from ellgenus.render import format_laurent
 
-
-@dataclass(frozen=True)
-class GalleryEntry:
-    name: str
-    space_type: str
-    crossed: tuple[int, ...]
-    section_weights: tuple[tuple[int, ...], ...]
-
-    def build(self):
-        space = homogeneous_space(self.space_type, list(self.crossed))
-        bundle = completely_reducible_bundle(space, list(self.section_weights))
-        return CompleteIntersection(bundle)
+# (name, space type, crossed nodes, section weights)
+GALLERY = (
+    ("quartic K3", "A3", (1,), ((4, 0, 0),)),
+    ("quintic threefold", "A4", (1,), ((5, 0, 0, 0),)),
+    ("G2-flag CY threefold", "G2", (1, 2), ((2, 0), (0, 1), (0, 1))),
+)
 
 
-@dataclass(frozen=True)
-class GalleryConfig:
-    order: int = 2
-    entries: tuple[GalleryEntry, ...] = (
-        GalleryEntry("quartic K3", "A3", (1,), ((4, 0, 0),)),
-        GalleryEntry("quintic threefold", "A4", (1,), ((5, 0, 0, 0),)),
-        GalleryEntry("G2-flag CY threefold", "G2", (1, 2),
-                     ((2, 0), (0, 1), (0, 1))),
-    )
+def build(space_type, crossed, section_weights):
+    """The zero locus of a general section of the bundle with the given
+    highest weights on G/P."""
+    space = homogeneous_space(space_type, list(crossed))
+    bundle = completely_reducible_bundle(space, list(section_weights))
+    return CompleteIntersection(bundle)
 
 
 def jacobi_coordinates(manifold, genus):
@@ -50,18 +40,17 @@ def jacobi_coordinates(manifold, genus):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--order", type=int, default=GalleryConfig.order,
+    parser.add_argument("--order", type=int, default=2,
                         help="number of q powers of the elliptic genus")
     args = parser.parse_args(argv)
-    config = GalleryConfig(order=args.order)
 
-    for entry in config.entries:
-        manifold = entry.build()
+    for name, space_type, crossed, section_weights in GALLERY:
+        manifold = build(space_type, crossed, section_weights)
         d = manifold.dimension()
-        genus = elliptic_genus(manifold, config.order)
+        genus = elliptic_genus(manifold, args.order)
         labels, coords = jacobi_coordinates(manifold, genus)
-        print(f"== {entry.name}  ({entry.space_type}"
-              f"{list(entry.crossed)}, sections {list(entry.section_weights)})")
+        print(f"== {name}  ({space_type}"
+              f"{list(crossed)}, sections {list(section_weights)})")
         print(f"   dimension     {d}")
         print(f"   Euler number  {chern_number(manifold, [d])}")
         print(f"   chi_y         {format_laurent(sorted(chi_y(manifold).c.items()))}")

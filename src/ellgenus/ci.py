@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidInput, NegativeDimension
+from .errors import InvalidInput, NegativeDimension, integer
 from .homog import HomogeneousSpace, localize
 from .taylor import _graded_division
 
@@ -94,7 +94,8 @@ def chern_numbers(manifold, degree_lists, rng=None):
     the sorted degrees) are localized, each once, and they enter the
     table only after the two points have agreed."""
     dim = manifold.dimension()
-    lists = [[int(k) for k in degrees] for degrees in degree_lists]
+    lists = [[integer(k, "a chern class degree") for k in degrees]
+             for degrees in degree_lists]
     for degrees in lists:
         for k in degrees:
             if not 1 <= k <= dim:

@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+from operator import index
+
 
 class EllgenusError(Exception):
     """Base class for every error this library raises on purpose."""
@@ -24,15 +26,15 @@ class InvalidInput(EllgenusError, ValueError):
     """A request outside a function's domain: a Chern-class degree outside
     1..dim, a highest weight with the wrong number of coordinates, a
     negative Jacobi index (CLI exit code 3), crossed nodes outside 1..rank
-    (exit code 2, as a malformed space), a negative symmetric power, a
-    Jacobi basis monomial whose weight or double index is wrong, a
-    universal elliptic genus of dimension below 1 or of negative q-order,
-    a Chern monomial with the wrong number of exponents, a q-series of
-    negative precision or with a negative or odd doubled q-exponent, a
-    y-scale of 0, an Eisenstein series of weight other than 4 or 6,
-    classes of different ambient dimensions, an evaluation point of the
-    wrong dimension, a negative power, or the logarithm of a series whose
-    constant term is not 1."""
+    (exit code 2, as a malformed space), a non-integer rank, crossed node,
+    Chern-class degree or highest-weight coefficient, a negative symmetric
+    or exterior power, a universal elliptic genus of dimension below 1 or
+    of negative q-order, a Chern monomial with the wrong number of
+    exponents, a q-series of negative precision or with a negative or odd
+    doubled q-exponent, a y-scale of 0, an Eisenstein series of weight
+    other than 4 or 6, classes of different ambient dimensions, an
+    evaluation point of the wrong dimension, a negative power, or the
+    logarithm of a series whose constant term is not 1."""
 
 
 class OddWeight(EllgenusError):
@@ -59,8 +61,7 @@ class ConsistencyError(EllgenusError):
     Freudenthal multiplicity was not a positive integer, a Weyl dimension
     was not an integer, the universal elliptic genus was not c_d at y = 1
     or not Serre symmetric, or the low q-rows of a Calabi-Yau genus were
-    outside the span of the weak Jacobi basis or not reproduced by their
-    expansion in it."""
+    not a weak Jacobi form in the span of the weak Jacobi basis."""
 
 
 class TooLarge(EllgenusError):
@@ -74,9 +75,18 @@ class BaseMismatch(EllgenusError):
     """Binary bundle operation applied to bundles over different bases."""
 
 
-class WedgeTooLarge(EllgenusError):
+class WedgeTooLarge(InvalidInput):
     """Exterior power of negative degree; above the rank it is rank 0."""
 
 
 class NegativeDimension(EllgenusError):
     """A zero locus of the given bundle would have negative dimension."""
+
+
+def integer(value, what):
+    """value as an int where operator.index takes it; InvalidInput for a
+    float, a Fraction or any other value that int() would truncate."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be an integer, not {value!r}") from None

@@ -76,24 +76,23 @@ genus is (jacobi.shifted_basis).  When c_1 = 0 (every Dynkin label of the
 tangent weights minus the section weights is 0) and the basis rows up to
 some q^k0 with k0 < k have full column rank, the genus is computed to
 q^k0 only, by the universal path, its unique coordinates are solved for
-there (jacobi.solve), and sum_i c_i phi_i is returned to q^k, so the cost
-stops growing with k past k0.  k0 is the least such order, read from the
-basis alone: 0 for d = 1-11 and 13, 1 for d = 12 and 14-23, 2 for d = 24.
-Rows outside the span, or an expansion that does not reproduce them,
+there by one fit (jacobi.linear_fit, which checks every fitted row), and
+sum_i c_i phi_i is returned to q^k, so the cost stops growing with k past
+k0.  k0 is the least such order, read from the basis alone: 0 for d = 1-11
+and 13, 1 for d = 12 and 14-23, 2 for d = 24.  Rows outside the span
 raise ConsistencyError.  Every G/P, every other complete intersection,
 and every case whose rank is not full below q^k takes the universal path.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 
 from .ci import chern_number, chern_numbers
-from .errors import ConsistencyError, InvalidInput, PrecisionZero, TooLarge
-from .jacobi import shifted_basis, solve
+from .errors import ConsistencyError, InvalidInput, TooLarge
+from .jacobi import linear_fit, shifted_basis, solve
 from .qseries import PackedLayout, QYSeries
 from .render import format_series
 from .roots import Weight
@@ -257,8 +256,6 @@ class ChernSymbolSeries:
         e = tuple(exponents)
         if len(e) != self.dim:
             raise InvalidInput(f"expected {self.dim} exponents")
-        if q > self.order:
-            raise PrecisionZero(f"q^{q} beyond retained precision")
         return self.layout.series(self.packed.get(e, 0), self.den).coefficient(q)
 
     def substitute(self, values):
@@ -367,19 +364,18 @@ def elliptic_genus(manifold, k, rng=None):
     """Elliptic genus of a homogeneous space or complete intersection to
     q-order k (multiplied by y^{d/2}).  A Calabi-Yau complete intersection
     whose shifted weak Jacobi basis has full rank on its rows up to some
-    q^k0 with k0 < k is fitted there and expanded from the basis
-    (_jacobi_expansion); every other input substitutes its Chern numbers
-    into the universal expression to q^k (_universal_genus)."""
+    q^k0 with k0 < k is fitted there (jacobi.linear_fit) and expanded from
+    the basis; ConsistencyError when those rows are not a weak Jacobi
+    form.  Every other input substitutes its Chern numbers into the
+    universal expression to q^k (_universal_genus)."""
     dim = manifold.dimension()
-    rng = rng if rng is not None else random.Random()
     if dim == 0:
         points = chern_number(manifold, [], rng=rng)
         return QYSeries.const(points, 2 * k)
     # the fixed-point guard runs first and without walking; the universal
     # series' size is checked next, then their product, all before any work
-    parabolic = manifold.ambient.parabolic
-    parabolic.check_fixed_point_count()
-    terms = parabolic.fixed_point_count() * _check_monomial_count(dim)
+    terms = (manifold.ambient.parabolic.check_fixed_point_count()
+             * _check_monomial_count(dim))
     if terms > MAX_LOCALIZATION_TERMS:
         raise TooLarge(f"the localization of a {dim}-fold's Chern numbers "
                        f"has {terms} (fixed point, Chern monomial) pairs, "
@@ -389,8 +385,14 @@ def elliptic_genus(manifold, k, rng=None):
         k0 = next((j for j in range(k)
                    if solve(QYSeries.zero(2 * j), basis)[1] == len(basis)), None)
         if k0 is not None:
-            return _jacobi_expansion(_universal_genus(manifold, k0, rng),
-                                     basis, k)
+            coords = linear_fit(_universal_genus(manifold, k0, rng), basis)
+            if coords is None:
+                raise ConsistencyError("the low q-rows of a Calabi-Yau genus "
+                                       "are not a weak Jacobi form of weight 0")
+            genus = QYSeries.zero(2 * k)
+            for c, phi in zip(coords, basis):
+                genus = genus + phi * c
+            return genus
     return _universal_genus(manifold, k, rng)
 
 
@@ -418,26 +420,6 @@ def _universal_genus(manifold, k, rng):
                     for emon in monomials]
     values = chern_numbers(manifold, degree_lists, rng=rng)
     return universal.substitute(dict(zip(monomials, values)))
-
-
-def _jacobi_expansion(rows, basis, k):
-    """sum_i c_i basis_i to q^k, with c the unique coordinates of a genus's
-    rows up to q^k0 (a QYSeries to q^k0) in the basis, whose coefficients
-    there have full rank.  A Calabi-Yau d-fold's genus is a weak Jacobi
-    form of weight 0 and index d/2, so the basis fixes every higher row;
-    ConsistencyError when the rows are outside the span, or when the
-    expansion does not reproduce them."""
-    coords, _ = solve(rows, basis)
-    if coords is None:
-        raise ConsistencyError("the low q-rows of a Calabi-Yau genus are "
-                               "not a weak Jacobi form of weight 0")
-    genus = QYSeries.zero(2 * k)
-    for c, phi in zip(coords, basis):
-        genus = genus + phi * c
-    if genus.truncate(rows.prec2) != rows:
-        raise ConsistencyError("the weak Jacobi expansion of a Calabi-Yau "
-                               "genus does not reproduce its low q-rows")
-    return genus
 
 
 def chi_y(manifold, rng=None):

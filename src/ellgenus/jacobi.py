@@ -70,25 +70,23 @@ def phi_0_3half(prec):
 @dataclass(frozen=True)
 class JacobiBasisElement:
     """One monomial E4^e4 E6^e6 phi_0_1^c phi_m2_1^d, possibly times
-    y^{1/2} phi_0_3half, expanded as a QYSeries."""
+    y^{1/2} phi_0_3half, expanded as a QYSeries; its weight and double
+    index are read off the exponents."""
 
     e4: int
     e6: int
     phi01: int
     phim21: int
     half_factor: bool
-    weight: int
-    double_index: int
     series: QYSeries
 
-    def __post_init__(self):
-        weight = 4 * self.e4 + 6 * self.e6 - 2 * self.phim21
-        if weight != self.weight:
-            raise InvalidInput(f"monomial has weight {weight}, not {self.weight}")
-        ix2 = 2 * (self.phi01 + self.phim21) + (3 if self.half_factor else 0)
-        if ix2 != self.double_index:
-            raise InvalidInput(f"monomial has double index {ix2}, "
-                               f"not {self.double_index}")
+    @property
+    def weight(self):
+        return 4 * self.e4 + 6 * self.e6 - 2 * self.phim21
+
+    @property
+    def double_index(self):
+        return 2 * (self.phi01 + self.phim21) + (3 if self.half_factor else 0)
 
     def label(self):
         parts = []
@@ -148,7 +146,7 @@ def basis_integral(weight, index, prec=7):
         for name, e in (("phi01", c), ("phim21", d), ("e4", a), ("e6", b)):
             if e:
                 series = series * power(name, e)
-        elements.append(JacobiBasisElement(a, b, c, d, False, weight, 2 * index, series))
+        elements.append(JacobiBasisElement(a, b, c, d, False, series))
     return elements
 
 
@@ -169,7 +167,7 @@ def basis_half_integral(weight, double_index, prec=7):
     out = []
     for el in basis_integral(weight, (double_index - 3) // 2, prec):
         out.append(JacobiBasisElement(el.e4, el.e6, el.phi01, el.phim21, True,
-                                      weight, double_index, half * el.series))
+                                      half * el.series))
     return out
 
 

@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .errors import ConsistencyError, InvalidInput, NotPDominant, TooLarge, UnknownType
+from .errors import (ConsistencyError, InvalidInput, NotPDominant, TooLarge, UnknownType,
+                     integer)
 from .render import format_dynkin
 
 _F = Fraction
@@ -317,7 +318,9 @@ class RootSystem:
         VI), on the fundamental coweights S[i][j] = sum_beta c_i c_j; so
         v_i = sum_j S[i][j] alpha_j, and s_i = sum_j S[i][j] a[i][j] is the
         dual Coxeter number times |long root|^2 / |alpha_i|^2.
-        ConsistencyError when they do not pair so."""
+        ConsistencyError when they do not pair so.  On A_n the central part
+        i (1, ..., 1), which pairs to 0 with every root, is added to v_i, so
+        that v_i = (n+1) omega_i = (n+1) (e_1 + ... + e_i)."""
         coeffs = list(zip(*self._coefficients))
         form = [_matvec(coeffs, row) for row in coeffs]
         pairs = [_matvec(self._cartan, row) for row in form]
@@ -326,29 +329,23 @@ class RootSystem:
                                          for i, s in enumerate(scales)]:
             raise ConsistencyError(f"the positive roots of {self.type_name} do not "
                                    "give an invariant form")
-        return [_matvec(self._columns, row) for row in form], scales
+        vectors = [_matvec(self._columns, row) for row in form]
+        if self.letter == "A":
+            vectors = [tuple(x + i for x in v) for i, v in enumerate(vectors, 1)]
+        return vectors, scales
 
     def dominant_point(self, labels):
         """sum_i labels[i] v_i (_dual_basis) in integers over the gcd of its
         coordinates: with every label positive, a point of the open
-        dominant chamber.  On A_n, v_i = (n+1) omega_i - i (1, ..., 1)
-        lies in the sum-zero hyperplane; the central part
-        sum_i i labels[i] (1, ..., 1) is added back, which moves no root
-        pairing, so that the point is sum_i labels[i] (n+1) omega_i and the
-        gcd keeps its coordinates small."""
+        dominant chamber.  On A_n it is sum_i labels[i] (n+1) omega_i, whose
+        central part lets the gcd keep its coordinates small."""
         point = _matvec(zip(*self._dual_basis[0]), labels)
-        if self.letter == "A":
-            central = sum(i * c for i, c in enumerate(labels, 1))
-            point = [x + central for x in point]
         g = gcd(*point)
         return tuple(x // g for x in point)
 
     @cached_property
     def fundamental_weights(self):
-        if self.letter == "A":
-            dim = self.rank + 1
-            return [Weight([1 if j <= i else 0 for j in range(dim)])
-                    for i in range(self.rank)]
+        """omega_i = v_i / s_i (_dual_basis): e_1 + ... + e_i on A_n."""
         return [Weight([_F(x, self._scale * s) for x in v])
                 for v, s in zip(*self._dual_basis)]
 
@@ -386,7 +383,7 @@ def root_system(spec):
             raise UnknownType(f"malformed type {str(spec)!r}; the supported "
                               f"types are {_SUPPORTED}")
         letter, rank = m.group(1), int(m.group(2))
-    return RootSystem(str(letter).upper(), int(rank))
+    return RootSystem(str(letter).upper(), integer(rank, "a rank"))
 
 
 def _walk(rs, labels, start, step):
@@ -441,7 +438,7 @@ class ParabolicSubgroup:
 
     def __init__(self, rs, crossed):
         self.root_system = root_system(rs)
-        nodes = sorted(set(int(k) for k in crossed))
+        nodes = sorted(set(integer(k, "a crossed node") for k in crossed))
         if not nodes:
             raise InvalidInput("at least one crossed node is required")
         if nodes[0] < 1 or nodes[-1] > self.root_system.rank:
@@ -478,12 +475,13 @@ class ParabolicSubgroup:
         return prod(h + 1 for h in heights) // prod(heights)
 
     def check_fixed_point_count(self):
-        """TooLarge, without walking, when there are more than
-        MAX_FIXED_POINTS fixed points."""
+        """The number of fixed points; TooLarge, without walking, when it
+        exceeds MAX_FIXED_POINTS."""
         count = self.fixed_point_count()
         if count > MAX_FIXED_POINTS:
             raise TooLarge(f"{self!r} has {count} fixed points, more than "
                            f"the limit of {MAX_FIXED_POINTS}")
+        return count
 
     def coset_representatives(self):
         """Minimal-length representatives v, with v^{-1}(alpha) > 0 for every
@@ -590,10 +588,13 @@ class ParabolicSubgroup:
         positive roots); NotPDominant when it pairs negatively with an
         uncrossed simple coroot.  rho is None, and not built, when every
         such pairing is 0: lam is then a character of P, whose Weyl
-        dimension prod_alpha (lam + rho, alpha)/(rho, alpha) is 1."""
+        dimension prod_alpha (lam + rho, alpha)/(rho, alpha) is 1.  Since
+        <omega_i, alpha_j-check> = delta_ij, the pairings are the
+        coefficients of the uncrossed nodes."""
         rs = self.root_system
-        lam = rs.weight_from_fundamental([int(c) for c in coefficients])
-        labels = [lam.pair(a) for a in self.levi_simple_roots]
+        coefficients = [integer(c, "a highest-weight coefficient") for c in coefficients]
+        lam = rs.weight_from_fundamental(coefficients)
+        labels = [coefficients[node - 1] for node in self.levi_nodes]
         for node, label in zip(self.levi_nodes, labels):
             if label < 0:
                 raise NotPDominant(f"negative pairing with uncrossed node {node}")

@@ -154,6 +154,18 @@ def test_wedge_above_rank_is_rank_zero(p4):
         e.symmetric_power(-1)
 
 
+def test_negative_wedge_power_is_invalid_input(p4):
+    with pytest.raises(InvalidInput):
+        irreducible_bundle(p4, (1, 0, 0, 0)).wedge_power(-1)
+
+
+def test_non_integer_highest_weight_is_refused(p4):
+    # int() would truncate (2.7, 0, 0, 0) to O(2)
+    for bad in (2.7, Fraction(2)):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            irreducible_bundle(p4, (bad, 0, 0, 0))
+
+
 def test_dual_is_an_involution(p4):
     e = irreducible_bundle(p4, (0, 1, 0, 0))
     assert e.dual().dual() == e

@@ -14,7 +14,7 @@ from ellgenus.bundles import completely_reducible_bundle
 from ellgenus.ci import (CompleteIntersection, chern_number, chern_numbers,
                          complete_intersection)
 from ellgenus.cohomology import CohomologyClass
-from ellgenus.errors import ConsistencyError, DegeneratePoint
+from ellgenus.errors import ConsistencyError, DegeneratePoint, InvalidInput
 from ellgenus.homog import HomogeneousSpace, homogeneous_space
 
 
@@ -206,6 +206,14 @@ def test_chern_numbers_validation(quintic):
     for bad in ([4], [0, 3], [-1, 4]):
         with pytest.raises(ValueError):
             chern_numbers(quintic, [[3], bad])
+
+
+def test_non_integer_chern_degrees_are_refused():
+    # int() would truncate them to c_1^4 and c_2 c_1 of P^4
+    p4 = homogeneous_space("A4", [1])
+    for bad in ([1.5, 1.5, 1, 1], [2.9, 1.2], [Fraction(4)]):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            chern_number(p4, bad)
 
 
 def test_localization_sum_raises_at_a_degenerate_point(k3):

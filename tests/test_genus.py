@@ -15,6 +15,7 @@ from ellgenus.bundles import EquivariantVectorBundle, completely_reducible_bundl
 from ellgenus.ci import CompleteIntersection, chern_number
 from ellgenus.cohomology import CohomologyClass
 from ellgenus import genus as genus_module
+from ellgenus import jacobi as jacobi_module
 from ellgenus import qseries
 from ellgenus.errors import ConsistencyError, InvalidInput, PrecisionZero, TooLarge
 from ellgenus.genus import (MAX_CHERN_MONOMIALS, MAX_LOCALIZATION_TERMS,
@@ -532,14 +533,21 @@ def test_cy_rows_outside_the_jacobi_span_raise(quintic, monkeypatch):
 
 
 def test_cy_expansion_that_misses_its_rows_raises(quintic, monkeypatch):
-    real = genus_module.solve
+    real = jacobi_module.solve
 
     def doubled(target, elements):
         coords, rank = real(target, elements)
         return [2 * c for c in coords], rank
 
-    monkeypatch.setattr(genus_module, "solve", doubled)
-    with pytest.raises(ConsistencyError, match="does not reproduce"):
+    # the solve inside linear_fit: its own check sees the wrong coordinates
+    monkeypatch.setattr(jacobi_module, "solve", doubled)
+    with pytest.raises(ConsistencyError, match="not a weak Jacobi form"):
+        elliptic_genus(quintic, 3)
+
+
+def test_failed_cy_fit_raises(quintic, monkeypatch):
+    monkeypatch.setattr(genus_module, "linear_fit", lambda target, elements: None)
+    with pytest.raises(ConsistencyError, match="not a weak Jacobi form"):
         elliptic_genus(quintic, 3)
 
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import ellgenus
 from ellgenus import roots
-from ellgenus.errors import ConsistencyError, NotPDominant, TooLarge, UnknownType
+from ellgenus.errors import (ConsistencyError, InvalidInput, NotPDominant, TooLarge,
+                             UnknownType)
 from ellgenus.roots import (MAX_FIXED_POINTS, ParabolicSubgroup, Weight,
                             WeylElement, min_coset_reps, parabolic,
                             root_system, weyl_elements, weyl_orbit)
@@ -498,6 +499,26 @@ def test_dropped_positive_root_breaks_the_invariant_form(spec):
     rs._coefficients = rs._coefficients[:-1]
     with pytest.raises(ConsistencyError, match="invariant form"):
         rs.dominant_point([1] * rs.rank)
+
+
+def test_type_a_invariant_form_holds_the_central_part():
+    # v_i = (n+1) omega_i, and omega_i = e_1 + ... + e_i comes from it
+    for n in range(1, 9):
+        rs = root_system(f"A{n}")
+        partial_sums = [tuple(int(j < i) for j in range(n + 1)) for i in range(1, n + 1)]
+        vectors, _ = rs._dual_basis
+        assert vectors == [tuple((n + 1) * x for x in w) for w in partial_sums]
+        assert [fw.coords for fw in rs.fundamental_weights] == partial_sums
+
+
+def test_non_integer_rank_and_crossed_nodes_are_refused():
+    # int() would truncate them to A4 and node 1
+    for rank in (4.9, Fraction(4)):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            root_system(("A", rank))
+    for node in (1.5, Fraction(1)):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            parabolic("A4", [node])
 
 
 def test_type_a_point_is_a_multiple_of_fundamental_weights():
