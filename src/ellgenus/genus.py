@@ -91,7 +91,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 
 from .ci import chern_number, chern_numbers
-from .errors import ConsistencyError, InvalidInput, TooLarge
+from .errors import ConsistencyError, InvalidInput, TooLarge, integer
 from .jacobi import linear_fit, shifted_basis, solve
 from .qseries import PackedLayout, QYSeries
 from .render import format_series
@@ -295,6 +295,7 @@ def elliptic_genus_chernnum(dim, k):
     TooLarge, before any work, past MAX_CHERN_MONOMIALS monomials;
     ConsistencyError when the result at y = 1 is not c_dim or a q-row is
     not symmetric under y -> dim - y."""
+    dim, k = integer(dim, "a dimension"), integer(k, "a q-order")
     if dim < 1:
         raise InvalidInput("dimension must be at least 1")
     if k < 0:

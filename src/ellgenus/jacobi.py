@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidInput, OddWeight
+from .errors import InvalidInput, OddWeight, integer
 from .qseries import LaurentY, QYSeries, _product_series, _rows, eisenstein
 from .taylor import _row_reduce
 
@@ -122,6 +122,8 @@ def _monomial_exponents(weight, index):
 
 def basis_integral(weight, index, prec=7):
     """Basis of weak Jacobi forms of even weight and integral index >= 0."""
+    weight, index = integer(weight, "a weight"), integer(index, "an index")
+    prec = integer(prec, "a precision")
     if weight % 2:
         raise OddWeight(f"no odd-weight basis: weight {weight}")
     if index < 0:
@@ -155,6 +157,8 @@ def basis_half_integral(weight, double_index, prec=7):
 
     Odd double indices below 3 have no weak forms and give the empty list.
     """
+    weight, prec = integer(weight, "a weight"), integer(prec, "a precision")
+    double_index = integer(double_index, "a double index")
     if weight % 2:
         raise OddWeight(f"no odd-weight basis: weight {weight}")
     if double_index < 0:

@@ -3,26 +3,25 @@
 Realizations follow the standard ambient spaces with Bourbaki node
 numbering: A_n lives in R^{n+1} with fundamental weights
 e_1 + ... + e_k, B_n/C_n/D_n in R^n, G_2 in R^3, F_4 in R^4 and the E
-types in R^8.  All public coordinates are exact rationals.
-
-Roots are built in integers, as coefficient tuples over the simple roots
-closed under s_i(c) = c - <c, alpha_i-check> e_i with the Cartan matrix,
-and only then written in ambient coordinates.  Weyl group elements,
-Weyl orbits and the minimal coset representatives W^P all come from one
-breadth-first walk over a W-orbit of weights in fundamental-weight
-coordinates (Humphreys, Reflection Groups and Coxeter Groups, 1.10-1.12):
-the orbit of lambda = sum of the crossed fundamental weights is in
-bijection with W^P, and each accepted step multiplies the carried matrix
-by a simple reflection with a rank-one update.  The update runs on
-integers: every Weyl matrix of a type has entries k/D with |k| <= D for
-one denominator D (1 for A-D, 2 for F4, 3 for G2, 4 for E6-E8), so a
-WeylElement holds only the integer matrix D M with its D.  Localization
-reads D M as it is; the Fraction matrix M is built only when asked for.
-Cartan matrix and coroots come from the simple roots as integer vectors.
-No matrix is inverted: on first use, the form S = sum_{beta > 0} c c^T
-over the coefficient tuples gives v_i = sum_j S[i][j] alpha_j = s_i omega_i
-in integers, which yields the fundamental weights, the evaluation points
-of localization and the Levi root-order test of Freudenthal's recursion.
+types in R^8.  Construction and the walk are integer-only: the Cartan
+matrix and coroots come from the simple roots as integer vectors, and the
+positive roots are coefficient tuples over them, closed under the ascents
+s_i(c) = c - <c, alpha_i-check> e_i.  The exact rational coordinates of the
+simple, positive, Levi and nilradical roots are built on first use.
+Weyl group elements, Weyl orbits and the minimal coset representatives
+W^P all come from one breadth-first walk over a W-orbit of weights in
+fundamental-weight coordinates (Humphreys, Reflection Groups and Coxeter
+Groups, 1.10-1.12): the orbit of lambda = sum of the crossed fundamental
+weights is in bijection with W^P, and each accepted step multiplies the
+carried matrix by a simple reflection with a rank-one update on integers:
+every Weyl matrix of a type has entries k/D with |k| <= D for one
+denominator D (1 for A-D, 2 for F4, 3 for G2, 4 for E6-E8), so a
+WeylElement holds only the integer matrix D M with its D, which
+localization reads as it is.  No matrix is inverted: on first use, the
+form S = sum_{beta > 0} c c^T over the coefficient tuples gives
+v_i = sum_j S[i][j] alpha_j = s_i omega_i in integers, which yields the
+fundamental weights, the evaluation points of localization and the Levi
+root-order test of Freudenthal's recursion.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm, prod
 
 from .errors import (ConsistencyError, InvalidInput, NotPDominant, TooLarge, UnknownType,
@@ -116,20 +116,19 @@ def _matvec(mat, vec):
 
 class WeylElement:
     """Orthogonal ambient matrix M with a reduced word, held only as the
-    integer rows `scaled` of D M for a denominator `den` = D of its entries.
-    The Fraction matrix is built on demand, and equality compares M, so
-    elements with different D can be equal."""
+    int tuples `scaled` of D M for a denominator `den` = D of its entries.
+    The Fraction matrix is built on demand; equality cross-multiplies the
+    rows by the other D and the hash reads them in lowest terms, so
+    elements with different D can be equal and neither builds a Fraction."""
 
     __slots__ = ("scaled", "den", "word")
 
     def __init__(self, scaled, den, word=()):
-        self.scaled = tuple(map(tuple, scaled))
-        self.den = den
-        self.word = tuple(word)
+        self.scaled, self.den, self.word = scaled, den, tuple(word)
 
     @classmethod
     def identity(cls, n, den=1):
-        return cls([[den if i == j else 0 for j in range(n)] for i in range(n)], den)
+        return cls(tuple(tuple(den if i == j else 0 for j in range(n)) for i in range(n)), den)
 
     @property
     def matrix(self):
@@ -144,18 +143,21 @@ class WeylElement:
 
     def __mul__(self, other):
         cols = list(zip(*other.scaled))
-        prod = [[sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.scaled]
+        prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                     for row in self.scaled)
         return WeylElement(prod, self.den * other.den, self.word + other.word)
 
     def inverse(self):
-        return WeylElement(zip(*self.scaled), self.den, reversed(self.word))
+        return WeylElement(tuple(zip(*self.scaled)), self.den, reversed(self.word))
 
     def __hash__(self):
-        return hash(self.matrix)
+        g = gcd(self.den, *(v for row in self.scaled for v in row))
+        return hash((self.den // g, tuple(tuple(v // g for v in row) for row in self.scaled)))
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and (
+            [[v * other.den for v in row] for row in self.scaled]
+            == [[v * self.den for v in row] for row in other.scaled])
 
     def __repr__(self):
         return f"WeylElement(word={self.word})"
@@ -220,25 +222,21 @@ class RootSystem:
     """Irreducible root system of one of the types A..G."""
 
     def __init__(self, letter, rank):
+        rank = integer(rank, "a rank")
         if letter not in _RANK_RULES or not _RANK_RULES[letter](rank):
             raise UnknownType(f"unsupported type {letter}{rank}; the supported "
                               f"types are {_SUPPORTED}")
-        self.letter = letter
-        self.rank = rank
-        self.simple_roots = [Weight(r) for r in _simple_root_coords(letter, rank)]
-        self.ambient_dim = len(self.simple_roots[0])
+        self.letter, self.rank = letter, rank
         # the simple roots times a common denominator, as integer vectors
-        scale = lcm(*(a.denominator for alpha in self.simple_roots for a in alpha))
-        scaled = [[a.numerator * (scale // a.denominator) for a in alpha]
-                  for alpha in self.simple_roots]
+        coords = _simple_root_coords(letter, rank)
+        scale = lcm(*(a.denominator for alpha in coords for a in alpha))
+        scaled = [[a.numerator * (scale // a.denominator) for a in alpha] for alpha in coords]
+        self.ambient_dim = len(scaled[0])
         self._cartan = _integral_cartan(scaled)
         # per simple root: the primitive integer vector p along it, over its
         # nonzero coordinates, and |p|^2, so that alpha-check = 2 p / |p|^2
-        self._coroots = []
-        for vec in scaled:
-            g = gcd(*vec)
-            support = [(j, a // g) for j, a in enumerate(vec) if a]
-            self._coroots.append((support, sum(a * a for _, a in support)))
+        supports = [[(j, a // gcd(*vec)) for j, a in enumerate(vec) if a] for vec in scaled]
+        self._coroots = [(sup, sum(a * a for _, a in sup)) for sup in supports]
         self._den = _DENOMINATORS.get(letter, 1)
         self._build_roots(scale, scaled)
 
@@ -273,33 +271,39 @@ class RootSystem:
                     row[j] -= k * a
                 row = tuple(row)
             rows.append(row)
-        return WeylElement(rows, elem.den, elem.word + (i,))
+        return WeylElement(tuple(rows), elem.den, elem.word + (i,))
 
     def _build_roots(self, scale, scaled):
-        """Positive roots from integer coefficient tuples: s_i maps a positive
-        root other than alpha_i to a positive root, and every positive root
-        is reached from a simple one this way.  Ambient coordinates are the
-        same combinations of the scaled simple roots, over scale."""
-        rank = self.rank
-        simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        found = set(simple)
-        frontier = simple
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for i, row in enumerate(self._cartan):
-                    p = sum(x * a for x, a in zip(c, row))
-                    if not p or c == simple[i]:
-                        continue
-                    img = c[:i] + (c[i] - p,) + c[i + 1:]
-                    if img not in found:
-                        found.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        """Positive roots as integer coefficient tuples c, each carrying its
+        pairings (<c, alpha_k-check>)_k, by the ascents s_i c = c - p e_i with
+        p = <c, alpha_i-check> < 0 alone; the image's pairings lose p times
+        Cartan column i.  A non-simple positive beta has (beta, alpha_i) > 0
+        for some i, so it is an ascent from the lower positive root s_i beta."""
         self._scale, self._columns = scale, list(zip(*scaled))
+        columns = list(zip(*self._cartan))
+        frontier = {tuple(int(i == j) for j in range(self.rank)): columns[i]
+                    for i in range(self.rank)}
+        found = dict(frontier)
+        while frontier:
+            nxt = {}
+            for c, pairs in frontier.items():
+                for i, p in enumerate(pairs):
+                    if p < 0:
+                        img = c[:i] + (c[i] - p,) + c[i + 1:]
+                        if img not in found:
+                            found[img] = nxt[img] = tuple(q - p * a for q, a
+                                                          in zip(pairs, columns[i]))
+            frontier = nxt
         self._coefficients = sorted(found, key=lambda c: (sum(c), tuple(-x for x in c)))
-        self.positive_roots = [Weight(_F(v, scale) for v in _matvec(self._columns, c))
-                               for c in self._coefficients]
+
+    @cached_property
+    def simple_roots(self):
+        return [Weight(_F(v, self._scale) for v in row) for row in zip(*self._columns)]
+
+    @cached_property
+    def positive_roots(self):
+        return [Weight(_F(v, self._scale) for v in _matvec(self._columns, c))
+                for c in self._coefficients]
 
     @cached_property
     def _root_coefficients(self):
@@ -383,7 +387,7 @@ def root_system(spec):
             raise UnknownType(f"malformed type {str(spec)!r}; the supported "
                               f"types are {_SUPPORTED}")
         letter, rank = m.group(1), int(m.group(2))
-    return RootSystem(str(letter).upper(), integer(rank, "a rank"))
+    return RootSystem(str(letter).upper(), rank)
 
 
 def _walk(rs, labels, start, step):
@@ -391,8 +395,12 @@ def _walk(rs, labels, start, step):
     pairings with the simple coroots, trying s_1..s_rank in that order
     from each point.  A step to a new point s_i mu extends the item carried
     by mu to step(item, i); steps with s_i mu = mu or onto a point already
-    seen add nothing.  Returns the items in walk order."""
+    seen add nothing.  From a dominant start lambda, no step with
+    <mu, alpha_i-check> < 0 is tried: if d steps give mu = w lambda, then
+    w^{-1} alpha_i < 0, so l(s_i w) < l(w) <= d and s_i mu = s_i w lambda
+    was seen.  Returns the items in walk order."""
     mu = tuple(labels)
+    dominant = min(mu) >= 0
     seen = {mu}
     order = [start]
     frontier = [(mu, start)]
@@ -400,7 +408,7 @@ def _walk(rs, labels, start, step):
         nxt = []
         for mu, item in frontier:
             for i, c in enumerate(mu):
-                if not c:
+                if c <= 0 and (dominant or not c):
                     continue
                 # <s_i mu, alpha_j-check> = mu_j - c <alpha_i, alpha_j-check>
                 nu = tuple(m - c * row[i] for m, row in zip(mu, rs._cartan))
@@ -437,41 +445,42 @@ class ParabolicSubgroup:
     """
 
     def __init__(self, rs, crossed):
-        self.root_system = root_system(rs)
+        self.root_system = rs = root_system(rs)
         nodes = sorted(set(integer(k, "a crossed node") for k in crossed))
         if not nodes:
             raise InvalidInput("at least one crossed node is required")
-        if nodes[0] < 1 or nodes[-1] > self.root_system.rank:
-            raise InvalidInput(f"crossed nodes must lie in 1..{self.root_system.rank}")
+        if nodes[0] < 1 or nodes[-1] > rs.rank:
+            raise InvalidInput(f"crossed nodes must lie in 1..{rs.rank}")
         self.crossed = tuple(nodes)
-        self.levi_nodes = tuple(i for i in range(1, self.root_system.rank + 1)
-                                if i not in nodes)
-        self.levi_simple_roots = [self.root_system.simple_roots[i - 1]
-                                  for i in self.levi_nodes]
-        self.levi_positive_roots, self.nilradical_roots = [], []
-        self._nilradical_heights = []
-        rs = self.root_system
-        for r, c in zip(rs.positive_roots, rs._coefficients):
-            if any(c[i - 1] for i in self.crossed):
-                self.nilradical_roots.append(r)
-                self._nilradical_heights.append(sum(c))
-            else:
-                self.levi_positive_roots.append(r)
+        self.levi_nodes = tuple(i for i in range(1, rs.rank + 1) if i not in nodes)
+        self._nil_mask = [any(c[i - 1] for i in nodes) for c in rs._coefficients]
         self._reps = None
+
+    @cached_property
+    def levi_simple_roots(self):
+        return [self.root_system.simple_roots[i - 1] for i in self.levi_nodes]
+
+    @cached_property
+    def levi_positive_roots(self):
+        return list(compress(self.root_system.positive_roots, [not n for n in self._nil_mask]))
+
+    @cached_property
+    def nilradical_roots(self):
+        return list(compress(self.root_system.positive_roots, self._nil_mask))
 
     def __repr__(self):
         return f"ParabolicSubgroup({self.root_system.type_name}, crossed={list(self.crossed)})"
 
     def dimension(self):
         """Complex dimension of the associated homogeneous space G/P."""
-        return len(self.nilradical_roots)
+        return sum(self._nil_mask)
 
     def fixed_point_count(self):
         """|W^P| = |W| / |W_L| without walking.  |W| is the product of
         (ht alpha + 1) / ht alpha over the positive roots, and likewise for
         the Levi, whose roots keep their heights, so the quotient is the
         product over the nilradical roots."""
-        heights = self._nilradical_heights
+        heights = [sum(c) for c in compress(self.root_system._coefficients, self._nil_mask)]
         return prod(h + 1 for h in heights) // prod(heights)
 
     def check_fixed_point_count(self):

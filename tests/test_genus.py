@@ -286,6 +286,13 @@ def test_chernnum_validation():
         elliptic_genus_chernnum(2, 1).coefficient(0, (2, 0, 0))
 
 
+def test_non_integer_chernnum_arguments_are_refused():
+    # a float must fail as InvalidInput (exit 3), not as a bare TypeError from range()
+    for args, what in [((3, 1.5), "a q-order"), ((1.5, 3), "a dimension")]:
+        with pytest.raises(InvalidInput, match=f"{what} must be an integer"):
+            elliptic_genus_chernnum(*args)
+
+
 def test_substitute_matches_direct_genus():
     p2 = proj(2)
     g = elliptic_genus_chernnum(2, 1)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellgenus.errors import OddWeight
+from ellgenus.errors import InvalidInput, OddWeight
 from ellgenus.jacobi import (JacobiBasisElement, basis_half_integral,
                              basis_integral, linear_fit, phi_0_1, phi_0_3half,
                              phi_m2_1, shifted_basis, solve)
@@ -161,6 +161,15 @@ def test_basis_weights_and_indices_are_consistent():
         for el in basis_half_integral(w, di, prec=2):
             assert el.weight == w
             assert el.double_index == di
+
+
+@pytest.mark.parametrize("basis,index", [(basis_integral, 2.5), (basis_half_integral, 7.0)])
+def test_non_integer_weight_index_and_precision_are_refused(basis, index):
+    # a float must fail as InvalidInput (exit 3), not as a bare TypeError from range()
+    for args, what in [((0, index), "index"), ((2.0, 3), "a weight"),
+                       ((0, 3, 7.5), "a precision")]:
+        with pytest.raises(InvalidInput, match=f"{what} must be an integer"):
+            basis(*args)
 
 
 def test_half_integral_delegation_and_edge_cases():

@@ -17,7 +17,7 @@ import ellgenus
 from ellgenus import roots
 from ellgenus.errors import (ConsistencyError, InvalidInput, NotPDominant, TooLarge,
                              UnknownType)
-from ellgenus.roots import (MAX_FIXED_POINTS, ParabolicSubgroup, Weight,
+from ellgenus.roots import (MAX_FIXED_POINTS, ParabolicSubgroup, RootSystem, Weight,
                             WeylElement, min_coset_reps, parabolic,
                             root_system, weyl_elements, weyl_orbit)
 
@@ -160,6 +160,19 @@ def test_weyl_element_holds_one_integer_matrix(spec, den):
     assert s * s == one
     assert (s * s).den == den * den
     assert s.inverse() == s
+
+
+def test_weyl_element_equality_and_hash_read_integer_rows(monkeypatch):
+    # D M is compared across denominators with no Fraction matrix built
+    monkeypatch.setattr(WeylElement, "matrix",
+                        property(lambda self: pytest.fail("a Fraction matrix was built")))
+    one, four = WeylElement.identity(8), WeylElement.identity(8, 4)
+    assert one == four and hash(one) == hash(four)
+    assert WeylElement.identity(7) != one
+    reps = parabolic("E6", [2]).coset_representatives()
+    assert len(set(reps)) == 72
+    assert set(w * one for w in reps) == set(reps)
+    assert reps[1] != reps[0] and reps[1] * reps[1].inverse() == four
 
 
 def test_reflections_permute_roots():
@@ -470,6 +483,27 @@ def test_integer_root_build_matches_ambient_closure(spec):
     assert rs.fundamental_weights == _reference_fundamental_weights(rs)
 
 
+@pytest.mark.parametrize("spec,crossed", [("E7", [1]), ("C4", [1, 2, 3, 4]), ("G2", [1, 2])])
+def test_parabolic_and_its_cosets_build_no_weight(spec, crossed, monkeypatch):
+    # the root system, the parabolic and the walk are integer-only; the
+    # Fraction roots are views built on first use
+    def refuse(self, coords):
+        raise AssertionError("a Weight was built")
+
+    monkeypatch.setattr(Weight, "__init__", refuse)
+    p = parabolic(spec, crossed)
+    dim, count, walked = p.dimension(), p.fixed_point_count(), len(p.coset_representatives())
+    monkeypatch.undo()
+    rs = p.root_system
+    positive, coeffs = _reference_roots(rs)
+    assert rs.positive_roots == positive
+    nilradical = [r for r in positive if any(coeffs[r][i - 1] for i in p.crossed)]
+    assert p.nilradical_roots == nilradical
+    assert p.levi_positive_roots == [r for r in positive if r not in nilradical]
+    assert p.levi_simple_roots == [rs.simple_roots[i - 1] for i in p.levi_nodes]
+    assert dim == len(nilradical) and count == walked == len(_reference_cosets(p))
+
+
 DUAL_COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1, "C": lambda n: n + 1,
                 "D": lambda n: 2 * n - 2, "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
                 "F": lambda n: 9, "G": lambda n: 4}
@@ -509,6 +543,12 @@ def test_type_a_invariant_form_holds_the_central_part():
         vectors, _ = rs._dual_basis
         assert vectors == [tuple((n + 1) * x for x in w) for w in partial_sums]
         assert [fw.coords for fw in rs.fundamental_weights] == partial_sums
+
+
+def test_root_system_class_refuses_a_non_integer_rank():
+    # the rank check lives in RootSystem itself, not only in root_system
+    with pytest.raises(InvalidInput, match="a rank must be an integer"):
+        RootSystem("A", 4.9)
 
 
 def test_non_integer_rank_and_crossed_nodes_are_refused():
@@ -574,6 +614,45 @@ def _check_characters(p):
 def test_fixed_point_count_matches_walk(spec, crossed):
     p = parabolic(spec, crossed)
     assert p.fixed_point_count() == len(p.coset_representatives())
+
+
+def _poincare(heights):
+    """Coefficients of prod_h (1 - q^{h+1}) / (1 - q^h), of degree
+    len(heights): the numerator multiplied out, then each 1 - q^h divided
+    off, which must leave no remainder."""
+    poly = [1]
+    for h in heights:
+        poly = [a - (poly[i - h - 1] if i > h else 0)
+                for i, a in enumerate(poly + [0] * (h + 1))]
+    for h in heights:
+        for i in range(h, len(poly)):
+            poly[i] += poly[i - h]
+    degree = len(heights)
+    assert not any(poly[degree + 1:])
+    return poly[:degree + 1]
+
+
+MACDONALD_CASES = sorted(
+    {(spec, crossed) for spec in SUPPORTED_TYPES if int(spec[1:]) <= 7
+     for crossed in [(1,), (int(spec[1:]),), tuple(sorted({1, int(spec[1:])}))]}
+    | {(spec, tuple(range(1, int(spec[1:]) + 1))) for spec in SUPPORTED_TYPES
+       if int(spec[1:]) <= 4}
+    | {("E7", (1,)), ("E7", (7,)), ("E8", (1,)), ("E8", (8,))})
+
+
+@pytest.mark.parametrize("spec,crossed", MACDONALD_CASES,
+                         ids=[f"{spec}{list(crossed)}" for spec, crossed in MACDONALD_CASES])
+def test_coset_lengths_follow_macdonald_product(spec, crossed):
+    # Macdonald, "The Poincare series of a Coxeter group" (1972): the
+    # number of representatives of length k is the q^k coefficient of
+    # prod over the nilradical roots beta of (1 - q^{ht beta + 1}) / (1 - q^{ht beta})
+    p = parabolic(spec, crossed)
+    rs = p.root_system
+    heights = [sum(rs.root_coefficients(r)) for r in p.nilradical_roots]
+    lengths = [0] * (p.dimension() + 1)
+    for w in p.coset_representatives():
+        lengths[w.length] += 1
+    assert lengths == _poincare(heights)
 
 
 def test_full_e8_flag_is_counted_and_refused_without_walking(no_walk):
