@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .render import _join, _term_body
+from .render import _join, _term
 from .taylor import _power
 
 _F = Fraction
@@ -155,7 +155,7 @@ class CohomologyClass:
         for e, coeff in items:
             parts = [f"x{i}" if k == 1 else f"x{i}^{k}"
                      for i, k in enumerate(e) if k]
-            chunks.append((-1 if coeff < 0 else 1, _term_body(coeff, *parts)))
+            chunks.append(_term(coeff.numerator, coeff.denominator, *parts))
         return _join(chunks)
 
     def __repr__(self):

@@ -30,11 +30,13 @@ class InvalidInput(EllgenusError, ValueError):
     Chern-class degree or highest-weight coefficient, a negative symmetric
     or exterior power, a universal elliptic genus of dimension below 1 or
     of negative q-order, a Chern monomial with the wrong number of
-    exponents, a q-series of negative precision or with a negative or odd
-    doubled q-exponent, a y-scale of 0, an Eisenstein series of weight
-    other than 4 or 6, classes of different ambient dimensions, an
-    evaluation point of the wrong dimension, a negative power, or the
-    logarithm of a series whose constant term is not 1."""
+    exponents, a q-series, Jacobi generator, eta product or Eisenstein
+    series of negative precision, a q-series with a negative or odd
+    doubled q-exponent, a non-integer exponent or precision of a Laurent
+    polynomial, q-series or generator, a y-scale of 0, an Eisenstein
+    series of weight other than 4 or 6, classes of different ambient
+    dimensions, an evaluation point of the wrong dimension, a negative
+    power, or the logarithm of a series whose constant term is not 1."""
 
 
 class OddWeight(EllgenusError):

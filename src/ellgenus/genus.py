@@ -39,34 +39,47 @@ cut to q^k by one mask (factors with n > k act only beyond q^k).  Each
 g^m b_m is g^m base_m / delta_m, with g integral and base_m an int
 polynomial of y-span m over delta_m = lcm(den t_m, m!), cleared of its
 content.  Newton's identities have integer coefficients, so the transition
-T[lambda, mu] from the power-sum monomial prod_m p_m^{e_m} of a partition
-lambda to the Chern monomials mu is integral; its monomials in e_1..e_d are
-encoded as one int in radix d+1, so that a monomial product is one
-addition.  The partitions are walked recursively, largest part first, one
-packed product per step by a memoized power (g^m base_m)^e; each
-partition's numerator, scaled to the common denominator D = lcm of the
-den_lambda = prod_m delta_m^{e_m} e_m!, is added into each Chern
-monomial's sum by one multiply-add with T[lambda, mu], as substituting
-Chern numbers is one multiply-add per monomial.
+T[lambda, mu] from the power-sum monomial p_lambda = prod_m p_m^{e_m} to
+the Chern monomials mu is integral; monomials in e_1..e_d are encoded as
+one int in radix d+1, so that a monomial product is one addition.  The
+partitions are walked recursively, largest part first, one packed product
+per step by a memoized power (g^m base_m)^e, each partition's numerator
+x_lambda scaled to the common denominator D = lcm of the
+den_lambda = prod_m delta_m^{e_m} e_m!.  T is never formed (1.8 million
+nonzeros at d = 27): at level m the walk returns A = sum_lambda x_lambda
+prod_{i<=m} p_i^{e_i} over the partitions completing the parts chosen
+above m, which is sum_e p_m^e A_e over the levels A_e below, formed by
+Horner's rule A_0 + p_m (A_1 + p_m (A_2 + ...)): p(d) - 1 dict products
+by p_m, 0.26 million multiply-adds of a packed int at d = 27.
 
-B is fixed before any packing, from L1 norms (sums of |cells| to q^k),
-which bound every cell and are submultiplicative.  Row by row, g is
-dominated by prod_{n<=k} (1-q^n)^-4 and so by (1-q)^{-4k}, hence
-||g^s|| <= N_g = C(4dk + k, k) for s <= d.  The monomials of p_m carry the
-sign (-1)^{m - length}, multiplicative in the e_i, so no product of them
-cancels and sum_mu |T[lambda, mu]| is prod_m p_m^{e_m} at
+B is fixed before any packing, from row norms (sums of |cells| per
+q-row): those of a product are dominated by the product of the row-norm
+series cut at q^k, as the L1 norm of Laurent polynomials is
+submultiplicative, and a factor with nonnegative coefficients and
+constant term >= 1 never lowers a bound.  (1 - y q^n)(1 - y^-1 q^n) has
+row norms (1 + q^n)^2, so g^s is dominated by G^d for s <= d, with
+G = prod_{n<=k} (1 + q^n)^2 / (1 - q^n)^2.  The row norms W_m of base_m
+have constant term >= 1, as the q^0 row of a_m is not constant in y.  The
+monomials of p_m carry the sign (-1)^{m - length}, multiplicative in the
+e_i, so none cancel and sum_mu |T[lambda, mu]| is prod_m p_m^{e_m} at
 e_i = (-1)^{i-1}, where prod_i (1 + x_i t) = (1 + 2t)/(1 + t): that is
-prod_m (2^m - 1)^{e_m}.  So no cell of a Chern monomial's sum exceeds
+prod_m (2^m - 1)^{e_m}.  So no cell in row n of a Chern monomial's sum
+exceeds the q^n coefficient of
 
-    N_g * sum_lambda (D / den_lambda) prod_m ((2^m - 1) ||base_m||)^{e_m},
+    G^d * sum_lambda (D / den_lambda) prod_m ((2^m - 1) W_m)^{e_m},
 
-nor does any partial product, power or factor of g, each part of some
-partition's product whose other factors have norms >= 1; B - 1 bits hold
-it.  As a check, G(x) = x at y = 1, so every q-row of every monomial's
+nor does a cell of a partial product, power or factor of g (part of a
+partition's term, factors dominating 1 left out) or of a partial sum of
+Horner's rule (fewer partitions, fewer factors of each T row); B - 1 bits
+hold its largest coefficient.  Row by row, (8, 3) needs 56 bits, not the
+80 of whole-series norms.
+
+As a check, G(x) = x at y = 1, so every q-row of every monomial's
 numerator sums to 0 over y, but the q^0 row of c_d, which sums to D.
 As a second check, G with y -> 1/y at -x is -G(x)/y, so every q-row is
 symmetric, cell (q, y) = cell (q, d - y); it sees an overflow whose
-carries cancel within a row.
+carries cancel within a row.  The checks unpack each numerator's cells
+once; the text and a widened substitution read those same cells.
 
 A Calabi-Yau d-fold takes a shorter path.  Its elliptic genus is a weak
 Jacobi form of weight 0 and index d/2 (Kawai-Yamada-Yang 1994,
@@ -86,7 +99,6 @@ and every case whose rank is not full below q^k takes the universal path.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 
@@ -98,7 +110,6 @@ from .render import format_series
 from .roots import Weight
 from .taylor import log_todd_coefficients
 
-_F = Fraction
 MAX_CHERN_MONOMIALS = 5000
 """Largest number p(dim) of Chern monomials, one per partition of dim, of
 a universal elliptic genus; beyond it TooLarge is raised before any work.
@@ -124,16 +135,16 @@ def _log_bases(dim, k):
         sign = (-1) ** m
         delta = lcm(t[m].denominator, factorial(m))
         f = delta // factorial(m)
+        binom = [(-1) ** i * comb(m, i) for i in range(m + 1)]  # (1-y)^m
         cells = {}
         for q, y, v in [(0, 0, int(delta * t[m]))] + [
                 (n * j, y, c * f * j ** (m - 1)) for n in range(1, k + 1)
                 for j in range(1, k // n + 1)
-                for y, c in ((j, -sign), (-j, -1), (0, sign + 1))]:
-            for i in range(m + 1):  # times (1-y)^m
-                cells[q, y + i] = cells.get((q, y + i), 0) + (-1) ** i * comb(m, i) * v
+                for y, c in ((j, -sign), (-j, -1), (0, sign + 1)) if c]:
+            for i, b in enumerate(binom):
+                cells[q, y + i] = cells.get((q, y + i), 0) + b * v
         for y in range(1, m + 1):  # N_m, its coefficients Eulerian numbers
-            cells[0, y] -= sign * f * sum((-1) ** i * comb(m, i) * (y - i) ** (m - 1)
-                                          for i in range(y))
+            cells[0, y] -= sign * f * sum(binom[i] * (y - i) ** (m - 1) for i in range(y))
         content = gcd(delta, *cells.values())
         out[m] = ({cell: v // content for cell, v in cells.items() if v},
                   delta // content)
@@ -235,12 +246,14 @@ class ChernSymbolSeries:
     c_1^{a_1} ... c_d^{a_d} of weighted degree exactly d, keyed by the
     exponent tuple (a_1, ..., a_d), the numerator of its series over the
     common denominator den, packed in layout (qseries.PackedLayout), zero
-    series dropped; no cell exceeds largest in absolute value."""
+    series dropped; no cell exceeds largest in absolute value.  cells
+    holds each numerator's nonzero ((q, y), int) cells, unpacked once by
+    the self-checks and read again by the text and by substitute."""
 
-    def __init__(self, dim, order, layout, den, packed, largest):
+    def __init__(self, dim, order, layout, den, packed, largest, cells):
         self.dim, self.order = dim, order
         self.layout, self.den, self.largest = layout, den, largest
-        self.packed = {e: x for e, x in packed.items() if x}
+        self.packed, self.cells = packed, cells
 
     @property
     def series(self):
@@ -262,30 +275,76 @@ class ChernSymbolSeries:
         """QYSeries obtained by replacing each Chern monomial by a number;
         values maps exponent tuples to Fractions.  One multiply-add per
         monomial, in a layout widened when the sum could outgrow it."""
-        terms = [(values[e], x) for e, x in self.packed.items() if values[e]]
-        scale = lcm(*(v.denominator for v, _ in terms))
-        coeffs = [v.numerator * (scale // v.denominator) for v, _ in terms]
+        terms = [(values[e], x, e) for e, x in self.packed.items() if values[e]]
+        scale = lcm(*(v.denominator for v, _, _ in terms))
+        coeffs = [v.numerator * (scale // v.denominator) for v, _, _ in terms]
         wide = PackedLayout(self.order, self.dim, sum(map(abs, coeffs)) * self.largest)
         layout = self.layout if wide.bits <= self.layout.bits else wide
-        total = sum(c * (x if layout is self.layout else wide.pack(self.layout.cells(x)))
-                    for c, (_, x) in zip(coeffs, terms))
+        total = sum(c * (x if layout is self.layout else wide.pack(self.cells[e]))
+                    for c, (_, x, e) in zip(coeffs, terms))
         return layout.series(total, self.den * scale)
 
     def __str__(self):
-        # row q, y-power y^j: the (coefficient, monomial) pairs, monomials
-        # descending
-        rows = {}
+        # per cell (q, j), the (numerator, den, monomial) terms of y^j q^q,
+        # the monomials descending
+        terms, den = {}, self.den
         for e in self.monomials():
             label = "*".join(f"c{m}" if a == 1 else f"c{m}^{a}"
                              for m, a in enumerate(e, start=1) if a)
-            for (q, j), v in self.layout.cells(self.packed[e]):
-                rows.setdefault(q, {}).setdefault(j, []).append(
-                    (_F(v, self.den), label))
-        return format_series(sorted((q, sorted(row.items()))
-                                    for q, row in rows.items()), self.order)
+            for cell, v in self.cells[e]:
+                if cell in terms:
+                    terms[cell].append((v, den, label))
+                else:
+                    terms[cell] = [(v, den, label)]
+        rows = {}
+        for (q, j), row in sorted(terms.items()):
+            rows.setdefault(q, []).append((j, row))
+        return format_series(list(rows.items()), self.order)
 
     def __repr__(self):
         return str(self)
+
+
+def _times(a, b):
+    """The product of two q-series given as equally long lists of their
+    coefficients, truncated to that length."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def _layout(dim, k, bases, dens):
+    """(D, layout): the common denominator D of the partitions' terms and
+    the PackedLayout to q^k whose digits hold every cell of the walk, by
+    the row-by-row bound of the module docstring."""
+    # G = prod_{n<=k} (1 + q^n)^2 / (1 - q^n)^2: times (1 + q^n) is the
+    # descending pass a[i] += a[i-n], divided by (1 - q^n) the ascending one
+    g_norm = [1] + [0] * k
+    for n in range(1, k + 1):
+        for ks in (range(k, n - 1, -1),) * 2 + (range(n, k + 1),) * 2:
+            for i in ks:
+                g_norm[i] += g_norm[i - n]
+    dominant = [1] + [0] * k
+    for _ in range(dim):
+        dominant = _times(dominant, g_norm)
+    # per m, the powers of the row norms of (2^m - 1) base_m
+    norm_pows = {}
+    for m, (cells, _) in bases.items():
+        w = [0] * (k + 1)
+        for (q, _), v in cells.items():
+            w[q] += (2 ** m - 1) * abs(v)
+        norm_pows[m] = [[1] + [0] * k, w]
+        for _ in range(2, dim // m + 1):
+            norm_pows[m].append(_times(norm_pows[m][-1], w))
+    parts = [[(m, e) for m, e in enumerate(part, start=1) if e]
+             for part in _partitions(dim, dim)]
+    den_parts = [prod(dens[m][e] for m, e in part) for part in parts]
+    den = lcm(*den_parts)
+    total = [0] * (k + 1)
+    for part, den_l in zip(parts, den_parts):
+        term = [den // den_l] + [0] * k
+        for m, e in part:
+            term = _times(term, norm_pows[m][e])
+        total = [a + b for a, b in zip(total, term)]
+    return den, PackedLayout(k, dim, max(_times(dominant, total)))
 
 
 @lru_cache(maxsize=None)
@@ -305,60 +364,62 @@ def elliptic_genus_chernnum(dim, k):
     # delta_m^e e!, the denominator of b_m^e/e!, for e <= dim // m
     dens = {m: [delta ** e * factorial(e) for e in range(dim // m + 1)]
             for m, (_, delta) in bases.items()}
-    # D and the cell bound of the module docstring, per partition
-    weights = {m: (2 ** m - 1) * sum(map(abs, cells.values()))
-               for m, (cells, _) in bases.items()}
-    parts = [(prod(dens[m][e] for m, e in enumerate(part, start=1)),
-              prod(weights[m] ** e for m, e in enumerate(part, start=1)))
-             for part in _partitions(dim, dim)]
-    den = lcm(*(d for d, _ in parts))
-    layout = PackedLayout(k, dim, comb(4 * dim * k + k, k)
-                          * sum(den // d * w for d, w in parts))
-    # (g^m b_m)^e and p_m^e for e <= dim // m, index e
-    g, g_m = _g_packed(layout), 1
-    series_pows, poly_pows = {}, {}
-    for (m, (cells, _)), p in zip(bases.items(), _power_sums(dim)[1:]):
+    den, layout = _layout(dim, k, bases, dens)
+    # (g^m b_m)^e for e <= dim // m, index e
+    g, g_m, pows = _g_packed(layout), 1, {}
+    for m, (cells, _) in bases.items():
         g_m = layout.mul(g_m, g)
         b = layout.mul(layout.pack(cells.items()), g_m)
-        series_pows[m], poly_pows[m] = [1, b], [{0: 1}, p]
+        pows[m] = [1, b]
         for e in range(2, dim // m + 1):
-            series_pows[m].append(layout.mul(series_pows[m][-1], b))
-            poly_pows[m].append(_poly_times(poly_pows[m][-1], p))
-    # the weighted-degree-dim part of exp(sum_m b_m p_m): per partition, its
-    # numerator over den times T[lambda, mu] goes into the sum of each mu
-    sums = {}
+            pows[m].append(layout.mul(pows[m][-1], b))
+    p = _power_sums(dim)
 
-    def walk(m, rest, series, den_l, poly):
-        # choose e_m, ..., e_1 with sum_i i e_i = rest
-        if rest == 0:
-            series *= den // den_l
-            for code, t in poly.items():
-                sums[code] = sums.get(code, 0) + t * series
-            return
-        for e in range(rest // m + 1) if m > 1 else (rest,):
-            walk(m - 1, rest - m * e,
-                 layout.mul(series, series_pows[m][e]) if e else series,
-                 den_l * dens[m][e], _poly_times(poly, poly_pows[m][e]) if e else poly)
+    def walk(m, rest, series, den_l):
+        # the weighted-degree-rest part of exp(sum_{i<=m} b_i p_i) times
+        # series / den_l, over den: per partition of rest into parts <= m,
+        # its numerator times prod_i p_i^{e_i}, in e_1..e_m, summed by
+        # Horner's rule in p_m, e_m descending
+        if m == 1 or rest == 0:
+            if rest:  # p_1^rest = e_1^rest, code rest
+                series, den_l = layout.mul(series, pows[1][rest]), den_l * dens[1][rest]
+            return {rest: series * (den // den_l)}
+        acc = None
+        for e in range(rest // m, -1, -1):
+            inner = walk(m - 1, rest - m * e,
+                         layout.mul(series, pows[m][e]) if e else series,
+                         den_l * dens[m][e])
+            if acc is None:
+                acc = inner
+            else:
+                acc = _poly_times(acc, p[m])
+                for code, x in inner.items():
+                    acc[code] = acc.get(code, 0) + x
+        return acc
 
-    walk(dim, dim, 1, 1, {0: 1})
+    sums = walk(dim, dim, 1, 1)
     # G(x) = x at y = 1: every q-row of every numerator sums to 0 over y,
     # but the q^0 row of c_dim, which sums to den; and every row is Serre
     # symmetric, cell (q, y) = cell (q, dim - y)
     radix = dim + 1  # no exponent of a weighted-degree-dim monomial exceeds dim
-    largest, symmetric = 0, True
-    for code, x in sums.items():
-        rows = [0] * (k + 1)
-        cells = dict(layout.cells(x))
-        for (q, y), v in cells.items():
+    top = radix ** (dim - 1)
+    largest, symmetric, packed, unpacked = 0, True, {}, {}
+    for code in sums.keys() | {top}:
+        x = sums.get(code, 0)
+        rows, cells = [0] * (k + 1), layout.cells(x)
+        by_cell = dict(cells)
+        for (q, _), v in cells:
             rows[q] += v
-            largest = max(largest, abs(v))
-            symmetric = symmetric and cells.get((q, dim - y)) == v
-        if rows != [den if code == radix ** (dim - 1) else 0] + [0] * k:
+        largest = max(largest, max(map(abs, by_cell.values()), default=0))
+        symmetric = symmetric and by_cell == {(q, dim - y): v for (q, y), v in cells}
+        if rows != [den if code == top else 0] + [0] * k:
             raise ConsistencyError("the universal elliptic genus is not c_d at y = 1")
+        if x:
+            e = _decoded(code, dim, radix)
+            packed[e], unpacked[e] = x, cells
     if not symmetric:
         raise ConsistencyError("the universal elliptic genus is not Serre symmetric")
-    return ChernSymbolSeries(dim, k, layout, den, {
-        _decoded(code, dim, radix): x for code, x in sums.items()}, largest)
+    return ChernSymbolSeries(dim, k, layout, den, packed, largest, unpacked)
 
 
 def elliptic_genus(manifold, k, rng=None):

@@ -1,8 +1,8 @@
 """Weak Jacobi forms of even weight and integral or half-integral index.
 
-Generators over the ring of modular forms, each built from integral
-products by qseries._product_series (Eichler-Zagier, *The Theory of
-Jacobi Forms*, Thm 9.3), with
+Generators over the ring of modular forms (Eichler-Zagier, *The Theory of
+Jacobi Forms*, Thm 9.3), each integral and built on int rows by
+qseries._product_series, with
 P = prod_n (1 - q^n y)^2 (1 - q^n y^-1)^2 / (1 - q^n)^4:
 
 * ``phi_m2_1``  weight -2, index 1:  (y - 2 + y^-1) P
@@ -31,7 +31,7 @@ from .taylor import _row_reduce
 # (s, e): the factor (1 - q^n y^s)^e for every n >= 1
 _P_FACTORS = ((1, 2), (-1, 2), (0, -4))
 _HALF_FACTORS = ((2, 1), (-2, 1), (1, -1), (-1, -1))
-_Y_MINUS_2 = LaurentY({-1: 1, 0: -2, 1: 1})  # y - 2 + y^-1
+_Y_MINUS_2 = {-1: 1, 0: -2, 1: 1}  # y - 2 + y^-1, as int cells
 
 
 @lru_cache(maxsize=None)
@@ -40,14 +40,14 @@ def phi_0_1(prec):
 
     Its q^0 coefficient is y^-1 + 10 + y.
     """
-    rows = _rows(LaurentY({-1: 1, 0: 10, 1: 1}), prec)
-    for n in range(1, prec + 1):
+    rows = _rows({-1: 1, 0: 10, 1: 1}, prec)
+    for n, row in enumerate(rows[1:], start=1):
         # row n of (y - 2 + y^-1)(1 + 12 S) is 12 S_n (y - 2 + y^-1)
-        s_n = LaurentY()
         for d in range(1, n + 1):
             if n % d == 0:
-                s_n = s_n + LaurentY({d: d, 0: -2 * d, -d: d})
-        rows[n] = s_n * _Y_MINUS_2 * 12
+                for a, u in ((d, d), (0, -2 * d), (-d, d)):
+                    for b, v in _Y_MINUS_2.items():
+                        row[a + b] = row.get(a + b, 0) + 12 * u * v
     return _product_series(rows, _P_FACTORS)
 
 
@@ -64,7 +64,7 @@ def phi_m2_1(prec):
 def phi_0_3half(prec):
     """y^{1/2} times the weight 0, index 3/2 generator, an honest Laurent
     series in y; its q^0 coefficient is 1 + y."""
-    return _product_series(_rows(LaurentY({0: 1, 1: 1}), prec), _HALF_FACTORS)
+    return _product_series(_rows({0: 1, 1: 1}, prec), _HALF_FACTORS)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ genus does its series arithmetic on numerators packed into one int each
 (PackedLayout, Kronecker substitution): a product is one big-int product
 and one mask, a linear combination one multiply-add per term, and its
 QYSeries are built only from the unpacked cells.  Products
-prod_n (1 - q^n y^s)^e (eta and the Jacobi generators) are built by
-_product_series, in place on the rows.
+prod_n (1 - q^n y^s)^e (eta and the Jacobi generators) are integral and
+are built by _product_series in place on int rows, with no Fraction.
 
 >>> one = LaurentY.const(1)
 >>> s = QYSeries(6, {0: one, 2: -one})        # 1 - q at precision q^3
@@ -27,8 +27,9 @@ _product_series, in place on the rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
-from .errors import DivisionByNonUnit, InvalidInput, PrecisionZero
+from .errors import DivisionByNonUnit, InvalidInput, PrecisionZero, integer
 from .render import format_laurent, format_series
 from .taylor import _power
 
@@ -43,10 +44,14 @@ class LaurentY:
     def __init__(self, coeffs=None):
         c = {}
         if coeffs:
-            for e, v in coeffs.items():
-                v = v if isinstance(v, Fraction) else Fraction(v)
-                if v:
-                    c[int(e)] = v
+            try:
+                for e, v in coeffs.items():
+                    v = v if isinstance(v, Fraction) else Fraction(v)
+                    if v:
+                        c[index(e)] = v
+            except TypeError:
+                raise InvalidInput(f"a y-exponent must be an integer and its "
+                                   f"coefficient rational, not {e!r}: {v!r}") from None
         self.c = c
 
     @classmethod
@@ -185,13 +190,13 @@ class QYSeries:
     __slots__ = ("prec2", "c")
 
     def __init__(self, prec2, coeffs=None):
-        if prec2 < 0:
-            raise InvalidInput("precision must be nonnegative")
-        self.prec2 = int(prec2)
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                k = int(k)
+        c, k = {}, prec2
+        try:
+            prec2 = index(prec2)
+            if prec2 < 0:
+                raise InvalidInput("precision must be nonnegative")
+            for k, v in (coeffs or {}).items():
+                k = index(k)
                 if k < 0:
                     raise InvalidInput("negative q-exponent")
                 if k > prec2:
@@ -199,10 +204,13 @@ class QYSeries:
                 if k % 2:
                     raise InvalidInput("odd doubled exponent: q-exponents are integral")
                 if not isinstance(v, LaurentY):
-                    v = LaurentY.const(v)
+                    v = LaurentY({0: v})
                 if v:
                     c[k] = v
-        self.c = c
+        except TypeError:
+            raise InvalidInput(f"a precision or q-exponent must be an integer, "
+                               f"not {k!r}") from None
+        self.prec2, self.c = prec2, c
 
     @classmethod
     def zero(cls, prec2):
@@ -392,14 +400,17 @@ class PackedLayout:
     bits, a multiple of 8 for whole-byte reads, is fixed before any
     packing from the caller's bound on every cell."""
 
-    __slots__ = ("order", "width", "bits", "size", "_half", "_mask")
+    __slots__ = ("order", "width", "bits", "size", "_half", "_mask", "_cells")
 
     def __init__(self, order, span, bound):
         self.order, self.bits = order, _bits_for(bound)
-        self.width = span + 2 * order + 2
-        self.size = order * self.width + span + order + 1
+        self.width = width = span + 2 * order + 2
+        self.size = order * width + span + order + 1
         self._mask = (1 << self.bits * self.size) - 1
         self._half = self._mask // ((1 << self.bits) - 1) << (self.bits - 1)
+        # the cell (q, y) of each digit
+        self._cells = [(q, i - q * width) for i in range(self.size)
+                       for q in [(i + order) // width]]
 
     def pack(self, cells):
         """The int of ((q, y), int) cells."""
@@ -411,14 +422,11 @@ class PackedLayout:
 
     def cells(self, x):
         """The nonzero ((q, y), int) cells of rows 0..order of x."""
-        nb, h, out = self.bits // 8, 1 << (self.bits - 1), []
+        nb, h = self.bits // 8, 1 << (self.bits - 1)
         data = ((x + self._half) & self._mask).to_bytes(self.size * nb, "little")
-        for i in range(self.size):
-            v = int.from_bytes(data[i * nb:(i + 1) * nb], "little") - h
-            if v:
-                q = (i + self.order) // self.width
-                out.append(((q, i - q * self.width), v))
-        return out
+        digits = [int.from_bytes(data[i:i + nb], "little") - h
+                  for i in range(0, len(data), nb)]
+        return [(cell, v) for cell, v in zip(self._cells, digits) if v]
 
     def series(self, x, den):
         """The QYSeries x / den."""
@@ -434,28 +442,39 @@ def _bits_for(bound):
 
 
 def _product_series(rows, factors):
-    """QYSeries of rows (row k: the LaurentY coefficient of q^k) times
-    prod_{n>=1} prod_{(s, e) in factors} (1 - q^n y^s)^e, truncated after
-    q^(len(rows) - 1).
+    """QYSeries of rows (row k: the coefficient {y-exponent: int} of q^k)
+    times prod_{n>=1} prod_{(s, e) in factors} (1 - q^n y^s)^e, truncated
+    after q^(len(rows) - 1).
 
     Each factor is applied in place: multiplying by (1 - q^n y^s) is the
     descending pass row[k] -= y^s row[k-n], dividing by it the ascending
-    pass row[k] += y^s row[k-n].
+    pass row[k] += y^s row[k-n].  Each row becomes a LaurentY at the end.
     """
     prec = len(rows) - 1
     for n in range(1, prec + 1):
         for s, e in factors:
             ks = range(prec, n - 1, -1) if e > 0 else range(n, prec + 1)
+            sign = -1 if e > 0 else 1
             for _ in range(abs(e)):
                 for k in ks:
-                    step = rows[k - n].shift(s)
-                    rows[k] = rows[k] - step if e > 0 else rows[k] + step
-    return QYSeries(2 * prec, {2 * k: row for k, row in enumerate(rows)})
+                    row = rows[k]
+                    for y, v in rows[k - n].items():
+                        y += s
+                        row[y] = row.get(y, 0) + sign * v
+    return QYSeries(2 * prec, {2 * k: LaurentY(row) for k, row in enumerate(rows)})
 
 
 def _rows(q0, prec):
-    """q-rows 0..prec of the series q0 + O(q^(prec+1))."""
-    return [q0] + [LaurentY() for _ in range(prec)]
+    """Int q-rows 0..prec of q0 + O(q^(prec+1)), q0 {y-exponent: int}."""
+    return [dict(q0)] + [{} for _ in range(_precision(prec))]
+
+
+def _precision(prec):
+    """prec as an int; InvalidInput unless it is an integer >= 0."""
+    prec = integer(prec, "a precision")
+    if prec < 0:
+        raise InvalidInput("precision must be nonnegative")
+    return prec
 
 
 def eta_product(prec):
@@ -464,7 +483,7 @@ def eta_product(prec):
     >>> print(eta_product(5))
     1 - q - q^2 + q^5 + O(q^6)
     """
-    return _product_series(_rows(_laurent_one(), prec), ((0, 1),))
+    return _product_series(_rows({0: 1}, prec), ((0, 1),))
 
 
 def _sigma(k, n):
@@ -481,6 +500,7 @@ def eisenstein(k, prec):
     >>> print(eisenstein(6, 2))
     1 - 504*q - 16632*q^2 + O(q^3)
     """
+    prec = _precision(prec)
     if k == 4:
         scale, power = 240, 3
     elif k == 6:

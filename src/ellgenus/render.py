@@ -11,6 +11,7 @@ imports nothing from the package, so every module can render through it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def _y_part(exponent):
@@ -25,13 +26,16 @@ def _q_part(n):
     return "q" if n == 1 else f"q^{n}"
 
 
-def _term_body(coeff, *parts):
-    """Positive-magnitude term like 100*y^-1*q, from factors that may be empty."""
-    mag = abs(coeff)
+def _term(num, den, *parts):
+    """(sign, body) of the term num/den times its factors, such as
+    (-1, "100*y^-1*q"), empty factors dropped; den > 0, and one gcd brings
+    num/den to lowest terms."""
+    g = gcd(num, den)
+    mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
     factors = [p for p in parts if p]
-    if mag != 1 or not factors:
-        factors.insert(0, str(mag))
-    return "*".join(factors)
+    if mag != "1" or not factors:
+        factors.insert(0, mag)
+    return (-1 if num < 0 else 1), "*".join(factors)
 
 
 def _join(chunks):
@@ -47,25 +51,28 @@ def _join(chunks):
 
 def format_laurent(pairs):
     """Render sorted (y-exponent, coefficient) pairs, ascending in y."""
-    chunks = [(-1 if c < 0 else 1, _term_body(c, _y_part(e))) for e, c in pairs if c]
+    chunks = [_term(c.numerator, c.denominator, _y_part(e)) for e, c in pairs if c]
     return _join(chunks) if chunks else "0"
 
 
 def _entry(e, c):
-    """(sign, factors, grouped) of the y^e term of a q-row, whose
-    coefficient c is a number or a list of (number, label) pairs; a list
-    of several pairs is one parenthesized group."""
-    if isinstance(c, list) and len(c) > 1:
-        inner = _join([(-1 if v < 0 else 1, _term_body(v, label)) for v, label in c])
-        return 1, (1, f"({inner})", _y_part(e)), True
-    c, label = c[0] if isinstance(c, list) else (c, "")
-    return (-1 if c < 0 else 1), (c, label, _y_part(e)), False
+    """(factors, grouped) of the y^e term of a q-row, the factors to pass
+    to _term: c is a number or a list of (numerator, denominator, label)
+    terms, and a list of several terms is one parenthesized group."""
+    if isinstance(c, list):
+        if len(c) > 1:
+            return (1, 1, f"({_join([_term(*t) for t in c])})", _y_part(e)), True
+        num, den, label = c[0]
+        return (num, den, label, _y_part(e)), False
+    return (c.numerator, c.denominator, _y_part(e)), False
 
 
 def format_series(terms, order_q):
     """Render sorted (q-exponent, [(y-exponent, coefficient)]) rows plus
-    the O-tail; a coefficient is a number or a list of (number, label)
-    pairs, such as a y-power's Chern monomials.
+    the O-tail.  A coefficient is a number (an int or a Fraction) or a
+    list of (numerator, denominator, label) terms, such as a y-power's
+    Chern monomials, each an int numerator over a positive int
+    denominator, not necessarily in lowest terms.
 
     The q^0 row is printed bare; a later row is parenthesized unless it
     is a single term.
@@ -76,12 +83,11 @@ def format_series(terms, order_q):
         if not entries:
             continue
         if q == 0:
-            chunks.extend((sign, _term_body(*factors)) for sign, factors, _ in entries)
-        elif len(entries) == 1 and not entries[0][2]:
-            sign, factors, _ = entries[0]
-            chunks.append((sign, _term_body(*factors, _q_part(q))))
+            chunks.extend(_term(*factors) for factors, _ in entries)
+        elif len(entries) == 1 and not entries[0][1]:
+            chunks.append(_term(*entries[0][0], _q_part(q)))
         else:
-            row = _join([(sign, _term_body(*factors)) for sign, factors, _ in entries])
+            row = _join([_term(*factors) for factors, _ in entries])
             chunks.append((1, f"({row})*{_q_part(q)}"))
     tail = f"O(q^{order_q + 1})"
     if not chunks:

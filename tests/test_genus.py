@@ -194,6 +194,9 @@ CHERNNUM_DIGESTS = {
     # printed by the integer accumulation, before the packed integers
     (20, 0): "53d398d1ddb4fddb815dc96f7cc8fc5742f8eb93b73086f58b8bb20bc16d9289",
     (21, 0): "95df439fd33a9f80b9c5178aba15f7c32d04226a5eaf90d6a4a354dbe6b6c5cc",
+    # E7 scale (the size of E7[7]), printed by the packed walk that formed
+    # the rows of the power-sum-to-Chern transition, before Horner's rule
+    (27, 0): "07e78659499953121a6a55eae277d833cc23276cf1ef82ae5f9f606efc256216",
 }
 
 
@@ -222,17 +225,47 @@ def test_chernnum_adds_no_series_per_monomial(monkeypatch):
     assert calls == []
 
 
+def test_chernnum_unpacks_each_numerator_once(monkeypatch):
+    # the self-checks unpack every numerator; the text and a widened
+    # substitution reuse those cells, which leaves one unpack, the
+    # substituted series
+    unpacked = []
+    real = PackedLayout.cells
+    monkeypatch.setattr(PackedLayout, "cells", lambda self, x:
+                        unpacked.append(x) or real(self, x))
+    elliptic_genus_chernnum.cache_clear()
+    try:
+        g = elliptic_genus_chernnum(7, 2)
+        built = len(unpacked)
+        text = str(g)
+        big = {e: Fraction(10 ** 40 + i) for i, e in enumerate(g.packed)}
+        substituted = g.substitute(big)
+    finally:
+        elliptic_genus_chernnum.cache_clear()
+    assert built >= len(g.packed) and "c7" in text
+    assert len(unpacked) == built + 1
+    assert substituted == sum((s * big[e] for e, s in g.series.items()),
+                              QYSeries.zero(4))
+
+
 def test_packed_width_covers_every_intermediate(monkeypatch):
     # the bound fixes the width before any packing; rerun with 64 spare
-    # bits, so nothing can overflow, and record every product and sum
+    # bits, so nothing can overflow, and record every product and every
+    # partial sum of Horner's rule
     for m in range(1, 9):
         assert sum(map(abs, _power_sums(8)[m].values())) == 2 ** m - 1
     real_bits, real_mul = qseries._bits_for, PackedLayout.mul
-    largest = []
+    real_poly_times = genus_module._poly_times
+    largest, sums = [], []
 
     def recording_mul(self, a, b):
         product = real_mul(self, a, b)
         largest.append(max((abs(v) for _, v in self.cells(product)), default=0))
+        return product
+
+    def recording_poly_times(a, b):
+        product = real_poly_times(a, b)
+        sums.extend([*a.values(), *product.values()])
         return product
 
     for dim in range(1, 9):
@@ -240,12 +273,16 @@ def test_packed_width_covers_every_intermediate(monkeypatch):
             elliptic_genus_chernnum.cache_clear()
             bits = elliptic_genus_chernnum(dim, k).layout.bits
             largest.clear()
+            sums.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(qseries, "_bits_for", lambda b: real_bits(b) + 64)
                 patch.setattr(PackedLayout, "mul", recording_mul)
+                patch.setattr(genus_module, "_poly_times", recording_poly_times)
                 elliptic_genus_chernnum.cache_clear()
                 wide = elliptic_genus_chernnum(dim, k)
             assert wide.layout.bits == bits + 64
+            assert (dim == 1) or sums, (dim, k)
+            largest += [abs(v) for x in sums for _, v in wide.layout.cells(x)]
             assert max(largest + [wide.largest]).bit_length() <= bits - 1, (dim, k)
     elliptic_genus_chernnum.cache_clear()
 
@@ -264,11 +301,13 @@ def test_overflowing_width_fails_the_check_at_y_equal_1(monkeypatch):
 
 
 def test_overflow_that_passes_y_equal_1_fails_serre_symmetry(monkeypatch):
-    # three bytes short, the (5, 2) sums wrap around with carries that
-    # cancel within each q-row, so the y = 1 check alone passes them;
-    # the wrapped rows are not symmetric under y -> 5 - y
+    # two bytes short (16-bit digits), the (5, 2) sums wrap around with
+    # carries that cancel within each q-row, so the y = 1 check alone
+    # passes them; the wrapped rows are not symmetric under y -> 5 - y
+    elliptic_genus_chernnum.cache_clear()
+    assert elliptic_genus_chernnum(5, 2).layout.bits == 32
     real_bits = qseries._bits_for
-    monkeypatch.setattr(qseries, "_bits_for", lambda b: real_bits(b) - 24)
+    monkeypatch.setattr(qseries, "_bits_for", lambda b: real_bits(b) - 16)
     elliptic_genus_chernnum.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="Serre symmetric"):

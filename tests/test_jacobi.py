@@ -12,7 +12,7 @@ from ellgenus.errors import InvalidInput, OddWeight
 from ellgenus.jacobi import (JacobiBasisElement, basis_half_integral,
                              basis_integral, linear_fit, phi_0_1, phi_0_3half,
                              phi_m2_1, shifted_basis, solve)
-from ellgenus.qseries import LaurentY, QYSeries, eisenstein
+from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product
 from theta_reference import (reference_phi_0_1, reference_phi_0_3half,
                              reference_phi_m2_1)
 
@@ -30,6 +30,82 @@ def test_generators_at_y_equal_one():
     # phi_{0,1}(tau, 0) = 12, phi_{-2,1}(tau, 0) = 0 and y^{1/2} phi_{0,3/2} -> 2
     for phi, value in ((phi_0_1, 12), (phi_m2_1, 0), (phi_0_3half, 2)):
         assert phi(12).specialize_y1() == QYSeries.const(value, 24)
+
+
+def _fraction_product_series(rows, factors):
+    """qseries._product_series on LaurentY rows, every step in Fraction
+    arithmetic: the reference the int rows must equal."""
+    prec = len(rows) - 1
+    for n in range(1, prec + 1):
+        for s, e in factors:
+            ks = range(prec, n - 1, -1) if e > 0 else range(n, prec + 1)
+            for _ in range(abs(e)):
+                for k in ks:
+                    step = rows[k - n].shift(s)
+                    rows[k] = rows[k] - step if e > 0 else rows[k] + step
+    return QYSeries(2 * prec, {2 * k: row for k, row in enumerate(rows)})
+
+
+def _fraction_products(prec):
+    """{builder: its series to q^prec}, built with LaurentY arithmetic."""
+    y_minus_2, p = LaurentY({-1: 1, 0: -2, 1: 1}), ((1, 2), (-1, 2), (0, -4))
+
+    def rows(q0):
+        return [q0] + [LaurentY() for _ in range(prec)]
+
+    phi01_rows = rows(LaurentY({-1: 1, 0: 10, 1: 1}))
+    for n in range(1, prec + 1):
+        s_n = LaurentY()
+        for d in range(1, n + 1):
+            if n % d == 0:
+                s_n = s_n + LaurentY({d: d, 0: -2 * d, -d: d})
+        phi01_rows[n] = s_n * y_minus_2 * 12
+    return {
+        phi_0_1: _fraction_product_series(phi01_rows, p),
+        phi_m2_1: _fraction_product_series(rows(y_minus_2), p),
+        phi_0_3half: _fraction_product_series(rows(LaurentY({0: 1, 1: 1})),
+                                              ((2, 1), (-2, 1), (1, -1), (-1, -1))),
+        eta_product: _fraction_product_series(rows(LaurentY.const(1)), ((0, 1),)),
+    }
+
+
+@pytest.mark.parametrize("prec", range(21))
+def test_generators_are_integral_and_equal_fraction_products(prec):
+    for build, expected in _fraction_products(prec).items():
+        series = build(prec)
+        assert series == expected, (build.__name__, prec)
+        assert all(v.denominator == 1
+                   for row in series.c.values() for v in row.c.values())
+
+
+def test_generators_do_no_laurent_arithmetic(monkeypatch):
+    # the products run on int rows; each row becomes a LaurentY once
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "shift"):
+        real = getattr(LaurentY, name)
+        monkeypatch.setattr(LaurentY, name, lambda self, other, real=real:
+                            calls.append(1) or real(self, other))
+    for phi in (phi_0_1, phi_m2_1, phi_0_3half):
+        phi.cache_clear()
+    try:
+        for build in (phi_0_1, phi_m2_1, phi_0_3half, eta_product):
+            assert len(build(8).c) > 1
+    finally:
+        for phi in (phi_0_1, phi_m2_1, phi_0_3half):
+            phi.cache_clear()
+    assert calls == []
+
+
+@pytest.mark.parametrize("build", [phi_0_1, phi_m2_1, phi_0_3half, eta_product,
+                                   lambda prec: eisenstein(4, prec)],
+                         ids=["phi_0_1", "phi_m2_1", "phi_0_3half", "eta", "E4"])
+def test_generator_precision_is_a_nonnegative_integer(build):
+    for bad in (2.5, "3", Fraction(7, 2), None):
+        with pytest.raises(InvalidInput, match="a precision must be an integer"):
+            build(bad)
+    with pytest.raises(InvalidInput, match="precision must be nonnegative"):
+        build(-1)
+    assert build(0).prec2 == 0
 
 
 def test_index_one_generators_are_symmetric_in_y():

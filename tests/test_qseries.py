@@ -1,8 +1,13 @@
 """Series layer: classical identities as oracles, plus ring laws."""
 
 import doctest
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -267,6 +272,46 @@ def test_constructor_validation():
         QYSeries(6, {1: LaurentY.const(1)})  # odd doubled key: q^(1/2)
     with pytest.raises(InvalidInput):
         QYSeries(6, {-2: LaurentY.const(1)})
+
+
+def test_constructors_refuse_non_integral_exponents_and_precisions():
+    # int() would truncate these: 1.5 to 1 and 6.9 to 6
+    one = LaurentY.const(1)
+    for build in (lambda: LaurentY({1.5: 1}), lambda: LaurentY({Fraction(2): 1}),
+                  lambda: LaurentY({1: None}), lambda: LaurentY({1: 1}).shift(0.5),
+                  lambda: QYSeries(6.9), lambda: QYSeries("6"),
+                  lambda: QYSeries(6, {2.0: one}), lambda: QYSeries(6, {2: None}),
+                  lambda: QYSeries.from_q_dict(1.5, {})):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            build()
+    # integer exponents, the doubled-key form included, keep working
+    s = QYSeries(6, {0: one, 2: 3, 4: LaurentY({-1: 2}).shift(1)})
+    assert s == QYSeries.from_q_dict(3, {0: 1, 1: 3, 2: 2})
+    assert LaurentY({True: 1}) == LaurentY.y_pow(1)
+
+
+def test_typed_series_errors_survive_optimized_python():
+    script = textwrap.dedent("""
+        from ellgenus.errors import InvalidInput
+        from ellgenus.jacobi import phi_0_3half, phi_m2_1
+        from ellgenus.qseries import LaurentY, QYSeries, eisenstein, eta_product
+
+        assert False, "assert statements are still active"
+        for build in (lambda: phi_m2_1(-1), lambda: eta_product(-1),
+                      lambda: eta_product(2.5), lambda: eisenstein(4, 2.5),
+                      lambda: phi_0_3half("3"), lambda: LaurentY({1.5: 1}),
+                      lambda: QYSeries(6.9)):
+            try:
+                print("accepted", build())
+            except InvalidInput:
+                print("InvalidInput")
+    """)
+    src = str(Path(ellgenus.qseries.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["InvalidInput"] * 7
 
 
 def test_bad_library_input_is_invalid_input():
